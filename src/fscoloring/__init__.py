@@ -6,6 +6,8 @@ constructions on pluggable fixture families, and ships the witness
 harness that re-verifies every claimed kill from scratch.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dyadic import (
     apart,
     block,
@@ -65,4 +67,7 @@ from .apartness import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

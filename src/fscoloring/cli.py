@@ -2,8 +2,9 @@
 
 Subcommands: eval, tree check, search-mono, delta3 witness, pi3 witness,
 apartness extract, verify.  Exit codes: 0 success/verified, 1 a claimed
-property failed to verify or a bounded search came up empty, 2 usage,
-configuration or guard errors.
+property failed to verify or a witness search came up empty, 2 usage,
+configuration or guard errors.  search-mono exits 0 whether it finds a
+set or exhausts its bound; the report records which.
 """
 
 from __future__ import annotations
@@ -173,32 +174,16 @@ def _run(args) -> int:
         mode = "blind" if args.blind else "oracle"
         if args.bound is not None:
             guards = harness.Guards.from_payload(guards.to_payload(), blind_bound=args.bound)
-        if args.product:
-            payload = harness.run_product_kill(
-                config, args.index, mode=mode, guards=guards, out=args.out
-            )
-            print(
-                "killed fixture %s via %s branch: colors of %s and %s differ"
-                % (payload["index"], payload["branch"], payload["u"], payload["v"])
-            )
-        elif args.command == "delta3":
-            payload = harness.run_delta3(
-                config, args.index, mode=mode, guards=guards, out=args.out
-            )
-            print(
-                "witness x=%s w1=%s w2=%s: colors %s vs %s"
-                % (payload["x"], payload["w1"], payload["w2"],
-                   payload["color_sum"], payload["color_sum_with_x"])
-            )
-        else:
-            payload = harness.run_pi3(
-                config, args.index, mode=mode, guards=guards, out=args.out
-            )
-            print(
-                "witness n=%s x=%s w=%s: colors %s vs %s"
-                % (payload["block_exponent"], payload["x"], payload["w"],
-                   payload["color_w"], payload["color_w_plus_x"])
-            )
+        run, summary = {
+            "product": (harness.run_product_kill,
+                        "killed fixture {index} via {branch} branch: colors of {u} and {v} differ"),
+            "delta3": (harness.run_delta3,
+                       "witness x={x} w1={w1} w2={w2}: colors {color_sum} vs {color_sum_with_x}"),
+            "pi3": (harness.run_pi3,
+                    "witness n={block_exponent} x={x} w={w}: colors {color_w} vs {color_w_plus_x}"),
+        }["product" if args.product else args.command]
+        payload = run(config, args.index, mode=mode, guards=guards, out=args.out)
+        print(summary.format(**payload))
         if not args.out:
             print(harness.render_report(payload), end="")
         return 0

@@ -18,18 +18,9 @@ from dataclasses import dataclass, field
 
 from . import dyadic
 from .dyadic import block_upto, finite_sums, low_bit, top_bit
-from .errors import GuardError, MissingOracleError, VerificationError, WitnessSearchError
+from .errors import GuardError, Guards, MissingOracleError, VerificationError, WitnessSearchError
 from .families import Delta3Family
-from .treecolor import TriRequestFunction, block_max, color_parity, lift_tri
-
-#: Block exponents scanned eagerly inside requests and candidate sets.
-DEFAULT_SCAN_EXPONENT = 20
-
-#: Default value cap for blind witness searches.
-DEFAULT_BLIND_BOUND = 1 << 16
-
-#: Default bit horizon when scanning fixture truth.
-DEFAULT_HORIZON = 24
+from .treecolor import RequestFunction, TriRequestFunction, block_max, lift_tri, tree_coloring
 
 _engines = weakref.WeakKeyDictionary()
 
@@ -52,12 +43,12 @@ def _engine(family) -> _Engine:
 
 
 def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int,
-                    max_exponent: int = DEFAULT_SCAN_EXPONENT) -> int:
+                    max_exponent: int = Guards.block_exponent) -> int:
     """1 iff some member of the block at exponent n is staged-in at (k, s)."""
     if n < 0:
         raise ValueError("block exponent must be nonnegative")
     if n > max_exponent:
-        raise GuardError("scan_exponent", max_exponent, n)
+        raise GuardError("block_exponent", max_exponent, n)
     return int(any(family.evaluate(i, x, k, s) for x in dyadic.iter_block(n)))
 
 
@@ -75,7 +66,7 @@ class CandidateSet:
 
 
 def candidate_set(family: Delta3Family, i: int, k: int, s: int,
-                  max_exponent: int = DEFAULT_SCAN_EXPONENT) -> CandidateSet:
+                  max_exponent: int = Guards.block_exponent) -> CandidateSet:
     """Collect up to 2**i exponents n in the open interval (i, s) whose
     block currently looks inhabited by family i."""
     engine = _engine(family)
@@ -96,7 +87,7 @@ def candidate_set(family: Delta3Family, i: int, k: int, s: int,
 
 
 def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int,
-                      max_exponent: int = DEFAULT_SCAN_EXPONENT) -> int:
+                      max_exponent: int = Guards.block_exponent) -> int:
     for i in range(min(n, family.count)):
         if n in candidate_set(family, i, k, s, max_exponent=max_exponent):
             return i
@@ -104,7 +95,7 @@ def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int,
 
 
 def chooser(family: Delta3Family, n: int, w: int,
-            max_exponent: int = DEFAULT_SCAN_EXPONENT) -> int:
+            max_exponent: int = Guards.block_exponent) -> int:
     """Least family index below n whose candidate set claims n, else n."""
     if n >= low_bit(w):
         raise ValueError("chooser needs n < low_bit(w)")
@@ -112,10 +103,10 @@ def chooser(family: Delta3Family, n: int, w: int,
 
 
 def request_at_stages(family: Delta3Family, n: int, k: int, s: int,
-                      max_exponent: int = DEFAULT_SCAN_EXPONENT) -> int:
+                      max_exponent: int = Guards.block_exponent) -> int:
     """The request value at explicit stage parameters (k, s)."""
     if n > max_exponent:
-        raise GuardError("scan_exponent", max_exponent, n)
+        raise GuardError("block_exponent", max_exponent, n)
     engine = _engine(family)
     key = (n, k, s)
     cached = engine.requests.get(key)
@@ -132,7 +123,7 @@ def request_at_stages(family: Delta3Family, n: int, k: int, s: int,
 
 
 def request(family: Delta3Family, n: int, w: int,
-            max_exponent: int = DEFAULT_SCAN_EXPONENT) -> int:
+            max_exponent: int = Guards.block_exponent) -> int:
     """Least block member the chosen family stages in, else the block max.
 
     Factors through (n, low_bit(w), top_bit(w)): the staged approximations
@@ -144,7 +135,7 @@ def request(family: Delta3Family, n: int, w: int,
 
 
 def request_function(family: Delta3Family,
-                     max_exponent: int = DEFAULT_SCAN_EXPONENT) -> RequestFunction:
+                     max_exponent: int = Guards.block_exponent) -> RequestFunction:
     tri = TriRequestFunction(
         lambda n, k, s: request_at_stages(family, n, k, s, max_exponent=max_exponent),
         description="staged-membership request (%s)" % (family.description or "family"),
@@ -152,23 +143,16 @@ def request_function(family: Delta3Family,
     return lift_tri(tri)
 
 
-def coloring(family: Delta3Family, max_exponent: int = DEFAULT_SCAN_EXPONENT):
-    """The two-coloring induced by the family's request function.
-
-    Total on positives: 1 is the root of its own one-vertex block, so it
-    gets color 0 like every block root.
-    """
-    fn = request_function(family, max_exponent=max_exponent)
-
-    def color(w):
-        return 0 if w == 1 else color_parity(fn, w)
-
+def coloring(family: Delta3Family, max_exponent: int = Guards.block_exponent):
+    """The two-coloring induced by the family's request function, total on
+    positives (see treecolor.tree_coloring)."""
+    color = tree_coloring(request_function(family, max_exponent=max_exponent))
     color.description = "membership-killer coloring (%s)" % (family.description or "family")
     return color
 
 
 def candidate_limit(family: Delta3Family, i: int,
-                    horizon: int = DEFAULT_HORIZON) -> tuple:
+                    horizon: int = Guards.horizon) -> tuple:
     """The limit candidate set, computed from truth.
 
     The first 2**i exponents n > i whose block meets the i-th truth set;
@@ -189,7 +173,7 @@ def candidate_limit(family: Delta3Family, i: int,
     )
 
 
-def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = DEFAULT_HORIZON,
+def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = Guards.horizon,
                              sample_offsets=(1, 2, 5)) -> tuple:
     """Cross-check staged candidate sets against the truth limit.
 
@@ -243,7 +227,7 @@ class Delta3Witness:
 
 
 def verify_witness(family: Delta3Family, witness: Delta3Witness,
-                   max_exponent: int = DEFAULT_SCAN_EXPONENT) -> None:
+                   max_exponent: int = Guards.block_exponent) -> None:
     """Recompute every claim in a witness from scratch.
 
     Uses a fresh request engine so no memoized state from the search is
@@ -275,9 +259,9 @@ def verify_witness(family: Delta3Family, witness: Delta3Witness,
 
 
 def find_witness(family: Delta3Family, i: int, *, mode: str = "oracle",
-                 bound: int = DEFAULT_BLIND_BOUND,
-                 horizon: int = DEFAULT_HORIZON,
-                 max_exponent: int = DEFAULT_SCAN_EXPONENT) -> Delta3Witness:
+                 bound: int = Guards.blind_bound,
+                 horizon: int = Guards.horizon,
+                 max_exponent: int = Guards.block_exponent) -> Delta3Witness:
     """Find x << w1 << w2 in fixture i with differing sum colors.
 
     Oracle mode walks the limit argument: settle the candidate set, pick

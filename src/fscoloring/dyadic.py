@@ -13,10 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import GuardError
-
-#: Largest block exponent materialized eagerly by default (2**n elements).
-DEFAULT_BLOCK_EXPONENT = 20
+from .errors import GuardError, Guards
 
 #: Largest input set accepted by finite_sums by default (2**n subsets).
 DEFAULT_SUBSET_ELEMENTS = 20
@@ -90,7 +87,7 @@ def has_apartness(values: Sequence[int]) -> bool:
     return all(apart(a, b) for a, b in zip(values, values[1:]))
 
 
-def block(n: int, max_exponent: int = DEFAULT_BLOCK_EXPONENT) -> list:
+def block(n: int, max_exponent: int = Guards.block_exponent) -> list:
     """The block of integers whose highest bit is n, i.e. [2**n, 2**(n+1)).
 
     Materializes 2**n values, so it is guarded; use iter_block for lazy
@@ -110,7 +107,7 @@ def iter_block(n: int) -> Iterator[int]:
     return iter(range(1 << n, 1 << (n + 1)))
 
 
-def block_upto(n: int, max_exponent: int = DEFAULT_BLOCK_EXPONENT) -> list:
+def block_upto(n: int, max_exponent: int = Guards.block_exponent) -> list:
     """All positive integers with highest bit at most n: [1, 2**(n+1))."""
     if n < 0:
         raise ValueError("block exponent must be nonnegative, got %r" % (n,))

@@ -1,4 +1,40 @@
-"""Shared exception types."""
+"""Shared exception types and the resource guards they report on."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+
+@dataclass(frozen=True)
+class Guards:
+    """Numeric resource bounds, overridable from configs and the CLI.
+
+    The field defaults are the library's only guard defaults: every
+    guarded function takes its default bound from here.
+    """
+
+    block_exponent: int = 20
+    tree_exponent: int = 16
+    request_exponent: int = 8
+    chain_bits: int = 64
+    blind_bound: int = 65536
+    horizon: int = 24
+    search_combinations: int = 5_000_000
+
+    @classmethod
+    def from_payload(cls, payload: Optional[dict], **overrides) -> "Guards":
+        values = {}
+        for name in cls.__dataclass_fields__:
+            if payload and name in payload:
+                values[name] = int(payload[name])
+        for name, value in overrides.items():
+            if value is not None:
+                values[name] = int(value)
+        return cls(**values)
+
+    def to_payload(self) -> dict:
+        return {name: str(getattr(self, name)) for name in self.__dataclass_fields__}
 
 
 class GuardError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Staged approximation families and their fixture catalog.
+"""Staged approximation families, their fixture catalog and its configs.
 
 The limit constructions consume two kinds of indexed families:
 
@@ -183,83 +183,43 @@ class SetSpec:
 
 
 # ---------------------------------------------------------------------------
-# Membership-approximation families (iterated limit over k then s)
+# Families over truth sets
 
 
-@dataclass(frozen=True)
-class DelaySchedule:
-    """Settling delay base + per_k * k, uniform over indices and points."""
+class SetFamily:
+    """Truth, member enumeration and weak apartness over a tuple of SetSpec.
 
-    base: int = 0
-    per_k: int = 0
-
-    def __call__(self, i, x, k):
-        return self.base + self.per_k * k
-
-
-class Delta3Family:
-    """Indexed staged membership approximations.
-
-    evaluate(i, x, k, s) is total, deterministic and {0,1}-valued for all
-    nonnegative arguments; indices outside the catalog evaluate to 0
-    everywhere.  Fixture instances also expose truth, member enumeration
-    and settling bounds; instances built from a bare evaluator support
-    blind searches only.
+    truth, members and block_members read indices outside the catalog as
+    the empty set.  sets is None for families built from a bare
+    evaluator, which carry no truth oracle and declare their count.
     """
 
-    def __init__(self, sets=None, delay=None, *, evaluator=None, count=None,
-                 description=""):
-        if sets is None and evaluator is None:
-            raise FixtureError("either truth sets or a raw evaluator is required")
+    def __init__(self, sets: Optional[Iterable[SetSpec]], description="", count=None):
         self.sets: Optional[Tuple[SetSpec, ...]] = tuple(sets) if sets is not None else None
-        self.delay = delay if delay is not None else DelaySchedule()
-        self._evaluator = evaluator
-        self._count = len(self.sets) if self.sets is not None else int(count or 0)
+        self.count = len(self.sets) if self.sets is not None else int(count or 0)
         self.description = description
-
-    @property
-    def count(self) -> int:
-        return self._count
 
     @property
     def has_truth(self) -> bool:
         return self.sets is not None
 
-    def evaluate(self, i, x, k, s) -> int:
-        if self._evaluator is not None:
-            return self._evaluator(i, x, k, s)
-        if not (0 <= i < self._count):
-            return 0
-        t = 1 if self.sets[i].contains(x) else 0
-        return t if s >= self.delay(i, x, k) else 1 - t
-
     def truth(self, i, x) -> int:
         self._need_truth()
-        if not (0 <= i < self._count):
+        if not (0 <= i < self.count):
             return 0
         return 1 if self.sets[i].contains(x) else 0
 
     def members(self, i) -> Iterator[int]:
         self._need_truth()
-        if not (0 <= i < self._count):
+        if not (0 <= i < self.count):
             return iter(())
         return self.sets[i].members()
 
     def block_members(self, i, n) -> list:
         self._need_truth()
-        if not (0 <= i < self._count):
+        if not (0 <= i < self.count):
             return []
         return self.sets[i].block_members(n)
-
-    # Settling oracle: for any finite query set X, staged values agree
-    # with truth on X whenever k > settle_k(i, X) and s > settle_s(i, k, X).
-    def settle_k(self, i, query_set) -> int:
-        self._need_truth()
-        return 0
-
-    def settle_s(self, i, k, query_set) -> int:
-        self._need_truth()
-        return max((self.delay(i, x, k) for x in query_set), default=0)
 
     def weak_apart_on(self, i, horizon):
         self._need_truth()
@@ -273,18 +233,76 @@ class Delta3Family:
             )
 
 
+# ---------------------------------------------------------------------------
+# Membership-approximation families (iterated limit over k then s)
+
+
+@dataclass(frozen=True)
+class DelaySchedule:
+    """Settling delay base + per_k * k of one set, uniform over its points."""
+
+    base: int = 0
+    per_k: int = 0
+
+    def __call__(self, k):
+        return self.base + self.per_k * k
+
+
+class Delta3Family(SetFamily):
+    """Indexed staged membership approximations.
+
+    evaluate(i, x, k, s) is total, deterministic and {0,1}-valued for all
+    nonnegative arguments; indices outside the catalog evaluate to 0
+    everywhere.  Fixture instances hold one DelaySchedule per set (delay)
+    and also expose truth, member enumeration and settling bounds;
+    instances built from a bare evaluator support blind searches only.
+    """
+
+    def __init__(self, sets=None, delay=None, *, evaluator=None, count=None,
+                 description=""):
+        if sets is None and evaluator is None:
+            raise FixtureError("either truth sets or a raw evaluator is required")
+        super().__init__(sets, description, count)
+        self._evaluator = evaluator
+        self.delay = tuple(delay) if delay is not None else (DelaySchedule(),) * self.count
+        if self.sets is not None and len(self.delay) != self.count:
+            raise FixtureError("a delta3 family needs one delay schedule per set")
+
+    def evaluate(self, i, x, k, s) -> int:
+        if self._evaluator is not None:
+            return self._evaluator(i, x, k, s)
+        if not (0 <= i < self.count):
+            return 0
+        t = 1 if self.sets[i].contains(x) else 0
+        return t if s >= self.delay[i](k) else 1 - t
+
+    # Settling oracle: for any finite query set X, staged values agree
+    # with truth on X whenever k > settle_k(i, X) and s > settle_s(i, k, X).
+    def settle_k(self, i, query_set) -> int:
+        self._need_truth()
+        return 0
+
+    def settle_s(self, i, k, query_set) -> int:
+        self._need_truth()
+        if not (0 <= i < self.count and query_set):
+            return 0
+        return self.delay[i](k)
+
+
 def instant_delta3(sets: Iterable[SetSpec], description="instant") -> Delta3Family:
     """Fixture whose staged values equal truth at every (k, s)."""
-    return Delta3Family(sets=sets, delay=DelaySchedule(), description=description)
+    return Delta3Family(sets=sets, description=description)
 
 
-def delayed_delta3(sets: Iterable[SetSpec], delay, description="delayed") -> Delta3Family:
+def delayed_delta3(sets: Iterable[SetSpec], delay: DelaySchedule,
+                   description="delayed") -> Delta3Family:
     """Fixture that reports the complement of truth before its delay stage.
 
-    delay maps (i, x, k) to the first stage s at which the staged value
-    matches truth; a DelaySchedule or any callable works.
+    The one DelaySchedule applies to every set: staged values match truth
+    from stage delay(k) on.
     """
-    return Delta3Family(sets=sets, delay=delay, description=description)
+    sets = tuple(sets)
+    return Delta3Family(sets=sets, delay=(delay,) * len(sets), description=description)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +336,7 @@ class MonotoneSchedule:
         return target + self.ramp_lag
 
 
-class MonotoneFamily:
+class MonotoneFamily(SetFamily):
     """Indexed counting approximations with monotone stage behavior.
 
     evaluate(i, x, y, s) is total and non-decreasing in y and in s;
@@ -333,40 +351,16 @@ class MonotoneFamily:
 
     def __init__(self, sets: Iterable[SetSpec], schedule: Optional[MonotoneSchedule] = None,
                  description=""):
-        self.sets = tuple(sets)
+        super().__init__(sets, description)
         self.schedule = schedule or MonotoneSchedule()
-        self.description = description
-
-    @property
-    def count(self) -> int:
-        return len(self.sets)
-
-    @property
-    def has_truth(self) -> bool:
-        return True
 
     def evaluate(self, i, x, y, s) -> int:
         ramp = self.schedule.ramp(s)
-        if not (0 <= i < len(self.sets)):
+        if not (0 <= i < self.count):
             return ramp
         if self.sets[i].contains(x):
             return min(self.schedule.ceiling_value(i, x, y), ramp)
         return ramp
-
-    def truth(self, i, x) -> int:
-        if not (0 <= i < len(self.sets)):
-            return 0
-        return 1 if self.sets[i].contains(x) else 0
-
-    def members(self, i) -> Iterator[int]:
-        if not (0 <= i < len(self.sets)):
-            return iter(())
-        return self.sets[i].members()
-
-    def block_members(self, i, n) -> list:
-        if not (0 <= i < len(self.sets)):
-            return []
-        return self.sets[i].block_members(n)
 
     def block_min(self, i, n, y, s):
         """(min evaluate over the block at exponent n, least witness)."""
@@ -418,9 +412,6 @@ class MonotoneFamily:
             return None
         values = [self.schedule.ceiling_value(i, x, y) for x in members]
         return min(values) if values else None
-
-    def weak_apart_on(self, i, horizon):
-        return has_weak_apartness(self.sets[i].members_upto_bit(horizon))
 
 
 def monotone_from_sets(sets: Iterable[SetSpec], schedule: Optional[MonotoneSchedule] = None,
@@ -568,32 +559,81 @@ SMALL_FINITE = SetSpec.explicit((3, 12, 48))  # weakly apart, never requested
 CATALOG_SETS = (ODD_POWERS, EVEN_POWERS, CLUSTERED, SMALL_FINITE)
 
 
-def delta3_catalog(variant="instant") -> Delta3Family:
-    """Standard membership-fixture catalog.
+# Catalog -> variant -> (fields of every family entry, top-level fields).
+_VARIANTS = {
+    "delta3": {
+        "instant": ({"kind": "instant"}, {}),
+        "delayed": ({"kind": "delayed", "delay_base": "5"}, {}),
+        "growing": ({"kind": "delayed", "delay_base": "3", "delay_per_k": "1"}, {}),
+    },
+    "pi3": {
+        "instant": ({"kind": "monotone"}, {}),
+        "delayed": ({"kind": "monotone", "ceiling": "2"}, {"ramp_lag": "6"}),
+    },
+}
 
-    variants: instant (settles immediately), delayed (constant delay 5),
-    growing (delay k + 3, exercising the nested quantifier order).
+
+def default_config(catalog: str, variant: str = "instant") -> dict:
+    """The standard four-fixture catalog as a serializable configuration.
+
+    delta3 variants: instant (settles immediately), delayed (constant
+    delay 5), growing (delay k + 3, exercising the nested quantifier
+    order).  pi3 variants: instant (zero ceilings, identity ramp),
+    delayed (ceiling 2, ramp lagging by 6 stages).
     """
-    if variant == "instant":
-        return instant_delta3(CATALOG_SETS, description="catalog:instant")
-    if variant == "delayed":
-        return delayed_delta3(CATALOG_SETS, DelaySchedule(base=5), description="catalog:delayed")
-    if variant == "growing":
-        return delayed_delta3(
-            CATALOG_SETS, DelaySchedule(base=3, per_k=1), description="catalog:growing"
-        )
-    raise FixtureError("unknown catalog variant %r" % (variant,))
+    if catalog not in _VARIANTS:
+        raise FixtureError("config catalog must be 'delta3' or 'pi3', got %r" % (catalog,))
+    if variant not in _VARIANTS[catalog]:
+        raise FixtureError("unknown %s variant %r" % (catalog, variant))
+    entry_fields, top_fields = _VARIANTS[catalog][variant]
+    entries = [
+        {"index": str(position), "set": spec.to_payload(), **entry_fields}
+        for position, spec in enumerate(CATALOG_SETS)
+    ]
+    return {"catalog": catalog, "families": entries, **top_fields}
+
+
+def build_family(config: dict):
+    """Realize a configuration as a membership or counting family.
+
+    Family entries must be densely indexed from zero and of one
+    category: membership kinds (instant/delayed) or the counting kind
+    (monotone); mixing categories has no semantics and is rejected.
+    """
+    catalog = config.get("catalog")
+    entries = config.get("families")
+    if catalog not in ("delta3", "pi3"):
+        raise FixtureError("config catalog must be 'delta3' or 'pi3', got %r" % (catalog,))
+    if not entries:
+        raise FixtureError("config declares no families")
+    for position, entry in enumerate(entries):
+        if int(entry.get("index", position)) != position:
+            raise FixtureError("family indices must be dense from 0")
+    sets = [SetSpec.from_payload(entry["set"]) for entry in entries]
+    kinds = [entry.get("kind", "instant") for entry in entries]
+    if catalog == "delta3":
+        if any(kind not in ("instant", "delayed") for kind in kinds):
+            raise FixtureError("delta3 catalogs allow kinds 'instant' and 'delayed' only")
+        delay = [
+            DelaySchedule(int(entry.get("delay_base", "0")), int(entry.get("delay_per_k", "0")))
+            for entry in entries
+        ]
+        return Delta3Family(sets=sets, delay=delay, description="config:delta3")
+    if any(kind != "monotone" for kind in kinds):
+        raise FixtureError("pi3 catalogs allow the kind 'monotone' only")
+    ceilings = tuple(int(entry.get("ceiling", "0")) for entry in entries)
+    schedule = MonotoneSchedule(
+        ceiling=lambda i, x, y: ceilings[i] if 0 <= i < len(ceilings) else 0,
+        ramp_lag=int(config.get("ramp_lag", "0")),
+    )
+    return monotone_from_sets(sets, schedule, description="config:pi3")
+
+
+def delta3_catalog(variant="instant") -> Delta3Family:
+    """Standard membership-fixture catalog; variants as in default_config."""
+    return build_family(default_config("delta3", variant))
 
 
 def monotone_catalog(variant="instant") -> MonotoneFamily:
-    """Standard counting-fixture catalog.
-
-    variants: instant (zero ceilings, identity ramp), delayed (ceiling 2,
-    ramp lagging by 6 stages).
-    """
-    if variant == "instant":
-        return monotone_from_sets(CATALOG_SETS, description="catalog:instant")
-    if variant == "delayed":
-        schedule = MonotoneSchedule(ceiling=lambda i, x, y: 2, ramp_lag=6)
-        return monotone_from_sets(CATALOG_SETS, schedule, description="catalog:delayed")
-    raise FixtureError("unknown catalog variant %r" % (variant,))
+    """Standard counting-fixture catalog; variants as in default_config."""
+    return build_family(default_config("pi3", variant))

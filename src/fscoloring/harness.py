@@ -11,76 +11,26 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Callable, Optional
 
 from . import apartness, delta3, pi3
-from .dyadic import finite_sums, low_bit
-from .errors import FixtureError, GuardError, VerificationError, WitnessSearchError
-from .families import (
-    Delta3Family,
-    MonotoneFamily,
-    MonotoneSchedule,
-    SetSpec,
-    validate_family,
+from .dyadic import finite_sums, has_apartness, low_bit
+from .errors import FixtureError, GuardError, Guards, VerificationError, WitnessSearchError
+from .families import (  # default_config is re-exported for callers of harness
+    Delta3Family, MonotoneFamily, build_family, default_config, validate_family,
 )
-from .treecolor import default_request, popcount_coloring, random_request
-
-
-@dataclass(frozen=True)
-class Guards:
-    """Numeric resource bounds, overridable from configs and the CLI."""
-
-    block_exponent: int = 20
-    tree_exponent: int = 16
-    request_exponent: int = 8
-    chain_bits: int = 64
-    blind_bound: int = 65536
-    horizon: int = 24
-    search_combinations: int = 5_000_000
-
-    @classmethod
-    def from_payload(cls, payload: Optional[dict], **overrides) -> "Guards":
-        values = {}
-        for name in cls.__dataclass_fields__:
-            if payload and name in payload:
-                values[name] = int(payload[name])
-        for name, value in overrides.items():
-            if value is not None:
-                values[name] = int(value)
-        return cls(**values)
-
-    def to_payload(self) -> dict:
-        return {name: str(getattr(self, name)) for name in self.__dataclass_fields__}
+from .treecolor import (
+    color_mod, default_request, popcount_coloring, random_request, tree_coloring, tree_edges,
+)
 
 
 # ---------------------------------------------------------------------------
 # Fixture configuration
-
-
-class _IndexedDelay:
-    """Per-index affine delay in k; index 0 of the pair list is family 0."""
-
-    def __init__(self, pairs):
-        self.pairs = tuple((int(b), int(p)) for b, p in pairs)
-
-    def __call__(self, i, x, k):
-        if not (0 <= i < len(self.pairs)):
-            return 0
-        base, per_k = self.pairs[i]
-        return base + per_k * k
-
-
-class _IndexedCeiling:
-    def __init__(self, values):
-        self.values = tuple(int(v) for v in values)
-
-    def __call__(self, i, x, y):
-        if not (0 <= i < len(self.values)):
-            return 0
-        return self.values[i]
 
 
 def load_config(path) -> dict:
@@ -90,72 +40,6 @@ def load_config(path) -> dict:
 
 def save_config(path, payload) -> None:
     write_report(path, payload)
-
-
-def build_family(config: dict):
-    """Realize a configuration as a membership or counting family.
-
-    Family entries must be densely indexed from zero and of one
-    category: membership kinds (instant/delayed) or the counting kind
-    (monotone); mixing categories has no semantics and is rejected.
-    """
-    catalog = config.get("catalog")
-    entries = config.get("families")
-    if catalog not in ("delta3", "pi3"):
-        raise FixtureError("config catalog must be 'delta3' or 'pi3', got %r" % (catalog,))
-    if not entries:
-        raise FixtureError("config declares no families")
-    for position, entry in enumerate(entries):
-        if int(entry.get("index", position)) != position:
-            raise FixtureError("family indices must be dense from 0")
-    sets = [SetSpec.from_payload(entry["set"]) for entry in entries]
-    kinds = [entry.get("kind", "instant") for entry in entries]
-    if catalog == "delta3":
-        if any(kind not in ("instant", "delayed") for kind in kinds):
-            raise FixtureError("delta3 catalogs allow kinds 'instant' and 'delayed' only")
-        delay = _IndexedDelay(
-            [
-                (entry.get("delay_base", "0"), entry.get("delay_per_k", "0"))
-                for entry in entries
-            ]
-        )
-        return Delta3Family(sets=sets, delay=delay, description="config:delta3")
-    if any(kind != "monotone" for kind in kinds):
-        raise FixtureError("pi3 catalogs allow the kind 'monotone' only")
-    schedule = MonotoneSchedule(
-        ceiling=_IndexedCeiling([entry.get("ceiling", "0") for entry in entries]),
-        ramp_lag=int(config.get("ramp_lag", "0")),
-    )
-    from .families import monotone_from_sets
-
-    return monotone_from_sets(sets, schedule, description="config:pi3")
-
-
-def default_config(catalog: str, variant: str = "instant") -> dict:
-    """The standard four-fixture catalog as a serializable configuration."""
-    from .families import CATALOG_SETS
-
-    entries = []
-    for position, spec in enumerate(CATALOG_SETS):
-        entry = {"index": str(position), "set": spec.to_payload()}
-        if catalog == "delta3":
-            if variant == "instant":
-                entry["kind"] = "instant"
-            elif variant == "delayed":
-                entry.update(kind="delayed", delay_base="5")
-            elif variant == "growing":
-                entry.update(kind="delayed", delay_base="3", delay_per_k="1")
-            else:
-                raise FixtureError("unknown delta3 variant %r" % (variant,))
-        else:
-            entry["kind"] = "monotone"
-            if variant == "delayed":
-                entry["ceiling"] = "2"
-        entries.append(entry)
-    payload = {"catalog": catalog, "families": entries}
-    if catalog == "pi3" and variant == "delayed":
-        payload["ramp_lag"] = "6"
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +55,31 @@ def build_coloring(spec: dict, guards: Guards = Guards()):
     kind = spec["id"]
     if kind == "popcount":
         return popcount_coloring, 1
-    if kind == "tree-default":
-        request = default_request()
-        return (lambda w: _tree_color(request, w, spec)), 1
-    if kind == "tree-random":
-        request = random_request(int(spec.get("seed", "0")))
-        return (lambda w: _tree_color(request, w, spec)), 1
+    if kind in ("tree-default", "tree-random"):
+        if kind == "tree-default":
+            request = default_request()
+        else:
+            request = random_request(int(spec.get("seed", "0")))
+        return tree_coloring(request, int(spec.get("modulus", "2"))), 1
     if kind == "killer":
         return apartness.weak_apartness_killer, 2
     if kind in ("delta3", "delta3-product", "pi3", "pi3-product"):
-        family = build_family(spec["config"])
-        if kind.startswith("delta3"):
-            base = delta3.coloring(family, max_exponent=guards.block_exponent)
-        else:
-            base = pi3.coloring(family)
-        if kind.endswith("product"):
-            color = apartness.product([base, apartness.weak_apartness_killer])
-            return color, 3
-        return base, 1
+        catalog, _, product = kind.partition("-")
+        family = _catalog_family(spec["config"], catalog)
+        return _construction_coloring(family, guards, product=bool(product)), 3 if product else 1
     raise FixtureError("unknown coloring id %r" % (kind,))
 
 
-def _tree_color(request, w, spec):
-    from .treecolor import color_mod
-
-    return color_mod(request, w, int(spec.get("modulus", "2")))
+def _construction_coloring(family, guards: Guards, *, product: bool = False):
+    """The family's construction coloring, alone or in product with the
+    pair coloring."""
+    if isinstance(family, Delta3Family):
+        base = delta3.coloring(family, max_exponent=guards.block_exponent)
+    else:
+        base = pi3.coloring(family)
+    if product:
+        return apartness.product([base, apartness.weak_apartness_killer])
+    return base
 
 
 def color_tuple(value) -> tuple:
@@ -222,19 +106,21 @@ class SearchResult:
 
 def search_mono(color: Callable, max_terms: Optional[int], bound: int, size: int,
                 *, subset_filter=None, coloring_spec=None,
-                max_combinations: int = 5_000_000) -> SearchResult:
+                max_combinations: int = Guards.search_combinations) -> SearchResult:
     """First size-element subset of [1, bound] with monochromatic sums.
 
     Enumerates subsets in lexicographic order, pruning any partial set
     whose bounded-term subset sums already carry two colors.  max_terms
     of None means sums of any number of terms.  Exhaustion is reported
-    as a result, never silently.
+    as a result, never silently.  color is memoized for the duration of
+    the call.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
     total = comb(bound, size)
     if total > max_combinations:
         raise GuardError("search_combinations", max_combinations, total)
+    color = lru_cache(maxsize=None)(color)
     limit = size if max_terms is None else min(max_terms, size)
     found = None
 
@@ -372,43 +258,63 @@ def pi3_report(config: dict, witness: pi3.Pi3Witness) -> dict:
     }
 
 
-def run_delta3(config: dict, index: int, *, mode: str = "oracle",
-               guards: Guards = Guards(), out: Optional[str] = None) -> dict:
-    family = build_family(config)
-    if not isinstance(family, Delta3Family):
-        raise FixtureError("delta3 runs need a delta3 catalog")
-    _check_family(family)
-    witness = delta3.find_witness(
-        family, index, mode=mode, bound=guards.blind_bound,
-        horizon=guards.horizon, max_exponent=guards.block_exponent,
-    )
-    payload = delta3_report(config, witness)
-    if out:
-        write_report(out, payload)
-    return payload
+# catalog: (family type, certificate keys of the two sums a product kill
+# compares, taken from the construction's witness report)
+_CONSTRUCTIONS = {
+    "delta3": (Delta3Family, ("sum", "sum_with_x")),
+    "pi3": (MonotoneFamily, ("w", "w_plus_x")),
+}
 
 
-def run_pi3(config: dict, index: int, *, mode: str = "oracle",
-            guards: Guards = Guards(), out: Optional[str] = None) -> dict:
+def _catalog_family(config: dict, catalog: str):
     family = build_family(config)
-    if not isinstance(family, MonotoneFamily):
-        raise FixtureError("pi3 runs need a pi3 catalog")
-    _check_family(family)
-    witness = pi3.find_witness(
-        family, index, mode=mode,
-        max_request_exponent=guards.request_exponent,
-        chain_bits=guards.chain_bits, horizon=guards.horizon,
-    )
-    payload = pi3_report(config, witness)
-    if out:
-        write_report(out, payload)
-    return payload
+    if not isinstance(family, _CONSTRUCTIONS[catalog][0]):
+        raise FixtureError("%s runs need a %s catalog" % (catalog, catalog))
+    return family
 
 
 def _check_family(family) -> None:
     report = validate_family(family)
     if not report.ok:
         raise FixtureError("fixture validation failed:\n%s" % report)
+
+
+def _witness_report(config: dict, family, index: int, mode: str, guards: Guards) -> dict:
+    """Find, verify and report the construction's witness against a fixture."""
+    if isinstance(family, Delta3Family):
+        witness = delta3.find_witness(
+            family, index, mode=mode, bound=guards.blind_bound,
+            horizon=guards.horizon, max_exponent=guards.block_exponent,
+        )
+        return delta3_report(config, witness)
+    witness = pi3.find_witness(
+        family, index, mode=mode,
+        max_request_exponent=guards.request_exponent,
+        chain_bits=guards.chain_bits, horizon=guards.horizon,
+    )
+    return pi3_report(config, witness)
+
+
+def _written(payload: dict, out: Optional[str]) -> dict:
+    if out:
+        write_report(out, payload)
+    return payload
+
+
+def run_delta3(config: dict, index: int, *, mode: str = "oracle",
+               guards: Guards = Guards(), out: Optional[str] = None) -> dict:
+    return _run_witness("delta3", config, index, mode, guards, out)
+
+
+def run_pi3(config: dict, index: int, *, mode: str = "oracle",
+            guards: Guards = Guards(), out: Optional[str] = None) -> dict:
+    return _run_witness("pi3", config, index, mode, guards, out)
+
+
+def _run_witness(catalog, config, index, mode, guards, out) -> dict:
+    family = _catalog_family(config, catalog)
+    _check_family(family)
+    return _written(_witness_report(config, family, index, mode, guards), out)
 
 
 def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
@@ -420,37 +326,19 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
     """
     family = build_family(config)
     _check_family(family)
-    is_delta3 = isinstance(family, Delta3Family)
     ok, certificate = family.weak_apart_on(index, guards.horizon)
     if ok:
-        if is_delta3:
-            witness = delta3.find_witness(
-                family, index, mode=mode, bound=guards.blind_bound,
-                horizon=guards.horizon, max_exponent=guards.block_exponent,
-            )
-            u, v = witness.sum, witness.sum_with_x
-            embedded = delta3_report(config, witness)
-        else:
-            witness = pi3.find_witness(
-                family, index, mode=mode,
-                max_request_exponent=guards.request_exponent,
-                chain_bits=guards.chain_bits, horizon=guards.horizon,
-            )
-            u, v = witness.w, witness.w + witness.x
-            embedded = pi3_report(config, witness)
         branch = "construction"
-        u_terms = [int(t) for t in embedded["certificates"]["sum" if is_delta3 else "w"]]
-        v_terms = [int(t) for t in embedded["certificates"]["sum_with_x" if is_delta3 else "w_plus_x"]]
+        embedded = _witness_report(config, family, index, mode, guards)
+        u_key, v_key = _CONSTRUCTIONS[config["catalog"]][1]
+        u_terms = [int(t) for t in embedded["certificates"][u_key]]
+        v_terms = [int(t) for t in embedded["certificates"][v_key]]
+        u, v = sum(u_terms), sum(v_terms)
     else:
         branch = "killer"
         embedded = None
         u, v, u_terms, v_terms = _killer_kill(certificate)
-    base = (
-        delta3.coloring(family, max_exponent=guards.block_exponent)
-        if is_delta3
-        else pi3.coloring(family)
-    )
-    prod = apartness.product([base, apartness.weak_apartness_killer])
+    prod = _construction_coloring(family, guards, product=True)
     cu, cv = prod(u), prod(v)
     if cu == cv:
         raise VerificationError("product colors of %d and %d agree" % (u, v))
@@ -468,9 +356,7 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
     }
     if embedded is not None:
         payload["witness"] = embedded
-    if out:
-        write_report(out, payload)
-    return payload
+    return _written(payload, out)
 
 
 def _killer_kill(certificate):
@@ -511,30 +397,18 @@ def run_extraction(stream_spec: dict, count: int, *, out: Optional[str] = None) 
             for c in outputs
         ],
     }
-    if out:
-        write_report(out, payload)
-    return payload
+    return _written(payload, out)
 
 
 def build_stream(spec: dict):
     kind = spec.get("kind", "naturals")
     if kind == "naturals":
-        def naturals():
-            x = 1
-            while True:
-                yield x
-                x += 1
-        return naturals()
+        return itertools.count(1)
     if kind == "arithmetic":
         start, step = int(spec.get("start", "1")), int(spec.get("step", "1"))
         if start < 1 or step < 1:
             raise FixtureError("arithmetic streams need positive start and step")
-        def arithmetic():
-            x = start
-            while True:
-                yield x
-                x += step
-        return arithmetic()
+        return itertools.count(start, step)
     if kind == "explicit":
         return iter([int(x) for x in spec["elements"]])
     raise FixtureError("unknown stream kind %r" % (kind,))
@@ -554,9 +428,7 @@ def eval_table(coloring_spec: dict, start: int, end: int, *,
             for w in range(start, end + 1)
         ],
     }
-    if out:
-        write_report(out, payload)
-    return payload
+    return _written(payload, out)
 
 
 def search_report(coloring_spec: dict, max_terms, bound, size, *,
@@ -580,9 +452,7 @@ def search_report(coloring_spec: dict, max_terms, bound, size, *,
         payload["colors"] = {
             str(s): [str(c) for c in value] for s, value in sorted(result.colors.items())
         }
-    if out:
-        write_report(out, payload)
-    return payload
+    return _written(payload, out)
 
 
 def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
@@ -590,8 +460,6 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
                       out: Optional[str] = None) -> dict:
     """Validate tree structure (and optionally the increment contract) for
     seeded random request functions on every block up to max_exponent."""
-    from .treecolor import color_mod, tree_edges
-
     results = []
     for s in range(1, max_exponent + 1):
         edge_failures = 0
@@ -630,9 +498,7 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
             r["edge_failures"] == "0" and r["contract_failures"] == "0" for r in results
         ),
     }
-    if out:
-        write_report(out, payload)
-    return payload
+    return _written(payload, out)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +512,7 @@ def verify_report(payload: dict, guards: Guards = Guards()):
         "delta3-witness": _verify_delta3,
         "pi3-witness": _verify_pi3,
         "product-kill": _verify_product_kill,
-        "extraction": _verify_extraction,
-        "search-mono": _verify_search,
-        "eval-table": _verify_eval,
-        "tree-check": _verify_tree_check,
+        **dict.fromkeys(_RERUNS, _verify_rerun),
     }.get(kind)
     if verifier is None:
         return False, ["unknown report kind %r" % (kind,)]
@@ -661,10 +524,15 @@ def verify_report(payload: dict, guards: Guards = Guards()):
     return True, details
 
 
-def _verify_delta3(payload, guards):
+def _report_family(payload, family_type):
     family = build_family(payload["config"])
-    if not isinstance(family, Delta3Family):
+    if not isinstance(family, family_type):
         raise VerificationError("report kind does not match the embedded catalog")
+    return family
+
+
+def _verify_delta3(payload, guards):
+    family = _report_family(payload, Delta3Family)
     witness = delta3.Delta3Witness(
         index=int(payload["index"]),
         x=int(payload["x"]), w1=int(payload["w1"]), w2=int(payload["w2"]),
@@ -683,9 +551,7 @@ def _verify_delta3(payload, guards):
 
 
 def _verify_pi3(payload, guards):
-    family = build_family(payload["config"])
-    if not isinstance(family, MonotoneFamily):
-        raise VerificationError("report kind does not match the embedded catalog")
+    family = _report_family(payload, MonotoneFamily)
     witness = pi3.Pi3Witness(
         index=int(payload["index"]),
         block_exponent=int(payload["block_exponent"]),
@@ -720,12 +586,7 @@ def _verify_product_kill(payload, guards):
     family = build_family(payload["config"])
     index = int(payload["index"])
     u, v = int(payload["u"]), int(payload["v"])
-    base = (
-        delta3.coloring(family, max_exponent=guards.block_exponent)
-        if isinstance(family, Delta3Family)
-        else pi3.coloring(family)
-    )
-    prod = apartness.product([base, apartness.weak_apartness_killer])
+    prod = _construction_coloring(family, guards, product=True)
     cu, cv = prod(u), prod(v)
     if [str(c) for c in cu] != payload["color_u"] or [str(c) for c in cv] != payload["color_v"]:
         raise VerificationError("recomputed product colors differ from report")
@@ -742,13 +603,27 @@ def _verify_product_kill(payload, guards):
     return details
 
 
-def _verify_extraction(payload, guards):
-    recomputed = run_extraction(payload["stream"], int(payload["count"]))
-    if recomputed["outputs"] != payload["outputs"]:
-        raise VerificationError("re-running the extraction produced different outputs")
-    values = [int(entry["value"]) for entry in payload["outputs"]]
-    from .dyadic import has_apartness
+def _verify_rerun(payload, guards):
+    """Re-run a report from its own inputs and compare the results."""
+    rerun, keys, mismatch, detail = _RERUNS[payload["report"]]
+    recomputed = rerun(payload, guards)
+    for key in keys:
+        if recomputed.get(key) != payload.get(key):
+            raise VerificationError(mismatch % {"key": key})
+    return [detail(payload)]
 
+
+def _rerun_search(payload, guards):
+    spec = payload["coloring"]
+    max_terms = None if payload["max_terms"] == "unbounded" else int(payload["max_terms"])
+    return search_report(spec, max_terms, int(payload["bound"]), int(payload["size"]),
+                         guards=guards)
+
+
+def _extraction_detail(payload):
+    """Extraction's own checks after its re-run: apart outputs, each the sum
+    of its block, blocks disjoint."""
+    values = [int(entry["value"]) for entry in payload["outputs"]]
     if not has_apartness(values):
         raise VerificationError("outputs are not pairwise apart")
     previous_end = -1
@@ -760,36 +635,32 @@ def _verify_extraction(payload, guards):
         if first <= previous_end:
             raise VerificationError("blocks overlap")
         previous_end = first + len(block) - 1
-    return ["%d extraction outputs re-verified" % len(values)]
+    return "%d extraction outputs re-verified" % len(values)
 
 
-def _verify_search(payload, guards):
-    spec = payload["coloring"]
-    max_terms = None if payload["max_terms"] == "unbounded" else int(payload["max_terms"])
-    recomputed = search_report(
-        spec, max_terms, int(payload["bound"]), int(payload["size"]), guards=guards
-    )
-    for key in ("outcome", "found", "colors"):
-        if recomputed.get(key) != payload.get(key):
-            raise VerificationError("recomputed search %s differs" % key)
-    return ["search outcome %r re-verified" % payload["outcome"]]
-
-
-def _verify_eval(payload, guards):
-    recomputed = eval_table(
-        payload["coloring"], int(payload["start"]), int(payload["end"]), guards=guards
-    )
-    if recomputed["values"] != payload["values"]:
-        raise VerificationError("recomputed table differs")
-    return ["%d table entries re-verified" % len(payload["values"])]
-
-
-def _verify_tree_check(payload, guards):
-    recomputed = tree_check_report(
-        int(payload["max_exponent"]), int(payload["functions"]), int(payload["seed"]),
-        [int(m) for m in payload["moduli"]], contract=payload["contract"],
-        guards=guards,
-    )
-    if recomputed["results"] != payload["results"] or recomputed["ok"] != payload["ok"]:
-        raise VerificationError("recomputed tree check differs")
-    return ["tree check re-verified (ok=%s)" % payload["ok"]]
+# Reports verified by re-running them.  kind: (re-run from the report's
+# inputs, keys the re-run must reproduce, mismatch message, detail line).
+_RERUNS = {
+    "extraction": (
+        lambda p, guards: run_extraction(p["stream"], int(p["count"])),
+        ("outputs",), "re-running the extraction produced different outputs",
+        _extraction_detail,
+    ),
+    "search-mono": (
+        _rerun_search, ("outcome", "found", "colors"), "recomputed search %(key)s differs",
+        lambda p: "search outcome %r re-verified" % p["outcome"],
+    ),
+    "eval-table": (
+        lambda p, guards: eval_table(p["coloring"], int(p["start"]), int(p["end"]), guards=guards),
+        ("values",), "recomputed table differs",
+        lambda p: "%d table entries re-verified" % len(p["values"]),
+    ),
+    "tree-check": (
+        lambda p, guards: tree_check_report(
+            int(p["max_exponent"]), int(p["functions"]), int(p["seed"]),
+            [int(m) for m in p["moduli"]], contract=p["contract"], guards=guards,
+        ),
+        ("results", "ok"), "recomputed tree check differs",
+        lambda p: "tree check re-verified (ok=%s)" % p["ok"],
+    ),
+}

@@ -25,38 +25,21 @@ from typing import Optional, Tuple
 
 from . import dyadic
 from .dyadic import low_bit, top_bit
-from .errors import GuardError, VerificationError, WitnessSearchError
-from .treecolor import RequestFunction, TriRequestFunction, color_mod, color_parity, lift_tri
-
-#: Largest block exponent scanned elementwise by the generic guess.
-DEFAULT_SCAN_EXPONENT = 20
-
-#: Largest exponent searched for stable indices (chains have 2**n + 1 links).
-DEFAULT_REQUEST_EXPONENT = 8
-
-#: Largest exponent the request evaluator itself serves.  Full colorings
-#: query requests at every level below the vertex's top bit, so this must
-#: track the chain bit guard, not the witness-search guard; the modulus
-#: 2**n stays cheap because guesses never scan blocks elementwise when the
-#: family provides block minima.
-DEFAULT_ENGINE_EXPONENT = 64
-
-#: Largest bit position admitted in witness chains.
-DEFAULT_CHAIN_BITS = 64
-
-#: Default bit horizon for truth scans.
-DEFAULT_HORIZON = 24
+from .errors import GuardError, Guards, VerificationError, WitnessSearchError
+from .treecolor import (
+    RequestFunction, TriRequestFunction, color_mod, color_parity, lift_tri, tree_coloring,
+)
 
 _MISSING = object()
 _engines = weakref.WeakKeyDictionary()
 
 
-def guess_bound(family, i, n, y, s, max_exponent=DEFAULT_SCAN_EXPONENT) -> int:
+def guess_bound(family, i, n, y, s, max_exponent=Guards.block_exponent) -> int:
     """Minimum family count over the block at exponent n."""
     return _block_min(family, i, n, y, s, max_exponent)[0]
 
 
-def guess_element(family, i, n, y, s, max_exponent=DEFAULT_SCAN_EXPONENT) -> int:
+def guess_element(family, i, n, y, s, max_exponent=Guards.block_exponent) -> int:
     """Least block member realizing the minimum count (ties to the least x)."""
     return _block_min(family, i, n, y, s, max_exponent)[1]
 
@@ -68,7 +51,7 @@ def _block_min(family, i, n, y, s, max_exponent):
     if fast is not None:
         return fast(i, n, y, s)
     if n > max_exponent:
-        raise GuardError("scan_exponent", max_exponent, n)
+        raise GuardError("block_exponent", max_exponent, n)
     best_value, best_x = None, None
     for x in dyadic.iter_block(n):
         value = family.evaluate(i, x, y, s)
@@ -130,7 +113,12 @@ class StageTable:
 class Pi3Engine:
     """Per-family request synthesizer with shared memo tables."""
 
-    def __init__(self, family, max_request_exponent=DEFAULT_ENGINE_EXPONENT):
+    # The request evaluator serves every exponent up to the chain bit guard,
+    # not only the witness search's request_exponent: full colorings query
+    # requests at every level below the vertex's top bit, and the modulus
+    # 2**n stays cheap because guesses never scan blocks elementwise when
+    # the family provides block minima.
+    def __init__(self, family, max_request_exponent=Guards.chain_bits):
         self.family = family
         self.max_request_exponent = max_request_exponent
         self.table = StageTable(family)
@@ -205,16 +193,9 @@ def request_function(family) -> RequestFunction:
 
 
 def coloring(family):
-    """The two-coloring induced by the synthesized request function.
-
-    Total on positives: 1 is the root of its own one-vertex block, so it
-    gets color 0 like every block root.
-    """
-    fn = request_function(family)
-
-    def color(w):
-        return 0 if w == 1 else color_parity(fn, w)
-
+    """The two-coloring induced by the synthesized request function, total on
+    positives (see treecolor.tree_coloring)."""
+    color = tree_coloring(request_function(family))
     color.description = "count-killer coloring (%s)" % (getattr(family, "description", "") or "family")
     return color
 
@@ -320,7 +301,7 @@ class Chain:
 
 
 def build_chain(family, i, n, count, floor, *, mode="oracle",
-                chain_bits=DEFAULT_CHAIN_BITS) -> Chain:
+                chain_bits=Guards.chain_bits) -> Chain:
     """A chain of `count` fixture members, lowest bit above `floor`.
 
     Oracle mode derives the needed bit gaps from the settling oracle and
@@ -475,7 +456,7 @@ class RequestSpread:
 
 
 def distinct_requests(family, i, n, *, mode="oracle",
-                      chain_bits=DEFAULT_CHAIN_BITS) -> RequestSpread:
+                      chain_bits=Guards.chain_bits) -> RequestSpread:
     """Realize every block member as a request value over fixture sums.
 
     Builds a chain of 2**n + 1 members and forms the suffix sums with at
@@ -524,9 +505,9 @@ class Pi3Witness:
 
 
 def find_witness(family, i, *, mode="oracle",
-                 max_request_exponent=DEFAULT_REQUEST_EXPONENT,
-                 chain_bits=DEFAULT_CHAIN_BITS,
-                 horizon=DEFAULT_HORIZON) -> Pi3Witness:
+                 max_request_exponent=Guards.request_exponent,
+                 chain_bits=Guards.chain_bits,
+                 horizon=Guards.horizon) -> Pi3Witness:
     """Find a fixture sum w with request exactly the fixture's block member.
 
     Locates the exponent the fixture stabilizes at, spreads the request

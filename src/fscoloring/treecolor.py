@@ -24,10 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .dyadic import low_bit, top_bit
-from .errors import GuardError
-
-#: Largest exponent for materialized block trees (2**s vertices).
-DEFAULT_TREE_EXPONENT = 16
+from .errors import GuardError, Guards
 
 _MASK64 = (1 << 64) - 1
 
@@ -261,7 +258,7 @@ class BlockTree:
 
 
 def tree_edges(
-    s: int, request: Callable[[int, int], int], max_exponent: int = DEFAULT_TREE_EXPONENT
+    s: int, request: Callable[[int, int], int], max_exponent: int = Guards.tree_exponent
 ) -> BlockTree:
     """Materialize the request tree on the block at exponent s."""
     if s < 1:
@@ -397,6 +394,21 @@ def color_parity(request: Callable[[int, int], int], w: int) -> int:
     return color_mod(request, w, 2)
 
 
+def tree_coloring(request: Callable[[int, int], int], modulus: int = 2):
+    """color_mod as a one-argument coloring, total on the positive integers.
+
+    1 is the root of its own one-vertex block, so it gets color 0 like
+    every block root; color_mod itself starts at 2.
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2, got %r" % (modulus,))
+
+    def color(w):
+        return 0 if w == 1 else color_mod(request, w, modulus)
+
+    return color
+
+
 def signed_counts_table(tree: BlockTree) -> dict:
     """Signed counts from the block root to every vertex, by tree walk."""
     adjacency: Dict[int, list] = {}
@@ -420,7 +432,7 @@ def color_mod_bfs(
     request: Callable[[int, int], int],
     w: int,
     modulus: int,
-    max_exponent: int = DEFAULT_TREE_EXPONENT,
+    max_exponent: int = Guards.tree_exponent,
 ) -> int:
     """Reference evaluator: materialize the whole block tree and walk it.
 

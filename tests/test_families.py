@@ -181,6 +181,13 @@ def test_truthless_family_refuses_oracle_queries():
         family.settle_k(0, [1])
 
 
+def test_delta3_family_needs_one_delay_per_set():
+    with pytest.raises(FixtureError):
+        Delta3Family(sets=[ODD, ODD], delay=[DelaySchedule(base=5)])
+    family = delayed_delta3([ODD, ODD], DelaySchedule(base=5))
+    assert family.delay == (DelaySchedule(base=5),) * 2
+
+
 def test_monotone_from_sets_isinstance():
     family = monotone_from_sets([ODD])
     assert isinstance(family, MonotoneFamily)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,19 @@ class TestConfig:
         family = harness.build_family(payload)
         assert family.evaluate(0, 8, 2, 4) == 0
         assert family.evaluate(0, 8, 2, 5) == 1
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
+        ids=lambda path: path.stem,
+    )
+    def test_shipped_configs_are_the_default_catalog(self, path):
+        catalog, variant = path.stem.split("-")
+        rendered = harness.render_report(harness.default_config(catalog, variant))
+        assert path.read_text(encoding="utf-8") == rendered
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(FixtureError):
+            harness.default_config("pi3", "growing")
 
 
 class TestGuards:
@@ -222,6 +236,12 @@ class TestColoringSpecs:
         assert reported == arity
         value = color(12)
         assert len(harness.color_tuple(value)) == arity
+        if spec["id"].startswith("tree"):
+            assert color(1) == 0  # 1 is the root of its own one-vertex block
+
+    def test_construction_coloring_needs_matching_catalog(self):
+        with pytest.raises(FixtureError):
+            harness.build_coloring({"id": "delta3", "config": harness.default_config("pi3")})
 
     def test_unknown_spec(self):
         with pytest.raises(FixtureError):
@@ -291,6 +311,12 @@ class TestCli:
     def test_exit_codes(self, tmp_path, capsys):
         # witness search exhaustion is a verification-class failure
         assert cli.main(["delta3", "witness", "--index", "3", "--blind"]) == 1
+        # an exhausted search-mono is an outcome recorded in its report, not a failure
+        assert cli.main([
+            "search-mono", "--coloring", "killer", "--max-terms", "2",
+            "--bound", "12", "--size", "4",
+        ]) == 0
+        assert "exhausted" in capsys.readouterr().out
         # config and usage problems exit 2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"catalog": "nope", "families": []}))
@@ -298,6 +324,23 @@ class TestCli:
             "delta3", "witness", "--index", "0", "--config", str(bad),
         ]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("coloring", ["tree-default", "tree-random"])
+    def test_tree_searches_verify(self, coloring, tmp_path, capsys):
+        report = tmp_path / "search.json"
+        assert cli.main([
+            "search-mono", "--coloring", coloring, "--max-terms", "3",
+            "--bound", "48", "--size", "5", "--out", str(report),
+        ]) == 0
+        assert cli.main(["verify", str(report)]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+    def test_guard_names_match_flags(self, capsys):
+        # the delta3 block scan at top bit 22 trips the guard --guard-block-exponent raises
+        code = cli.main(["eval", "--coloring", "delta3", "--start", "6291456", "--end", "6291456"])
+        assert code == 2
+        assert "guard 'block_exponent' exceeded" in capsys.readouterr().err
+        assert "block_exponent" in harness.Guards.__dataclass_fields__
 
     def test_guard_override(self, capsys):
         code = cli.main([
