@@ -24,7 +24,6 @@ from .dyadic import (
 from .errors import (
     FixtureError,
     GuardError,
-    MissingOracleError,
     VerificationError,
     WitnessSearchError,
 )

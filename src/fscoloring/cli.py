@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import harness
-from .errors import FixtureError, GuardError, MissingOracleError, VerificationError, WitnessSearchError
+from .errors import FixtureError, GuardError, VerificationError, WitnessSearchError
 
 
 def _add_guard_flags(parser):
@@ -135,9 +135,7 @@ def _stream_spec(text: str) -> dict:
 def _run(args) -> int:
     guards = _guards(args)
     if args.command == "eval":
-        payload = harness.eval_table(
-            _coloring_spec(args), args.start, args.end, guards=guards, out=args.out
-        )
+        payload = harness.eval_table(_coloring_spec(args), args.start, args.end, out=args.out)
         print("# coloring=%s arity=%s" % (args.coloring, payload["arity"]))
         for entry in payload["values"]:
             print("%s\t%s" % (entry["w"], ",".join(entry["color"])))
@@ -215,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (GuardError, FixtureError, MissingOracleError, ValueError, OSError) as failure:
+    except (GuardError, FixtureError, ValueError, OSError) as failure:
         print("error: %s" % failure, file=sys.stderr)
         return 2
     except (VerificationError, WitnessSearchError) as failure:

@@ -4,11 +4,13 @@ For each family index i and stage pair (k, s), a candidate set collects
 the first 2**i block exponents where the staged approximation currently
 sees a member.  A chooser picks the least index claiming a given exponent
 and the request function returns the least staged member of that block,
-falling back to the block maximum.  Feeding the request function to the
-tree coloring yields a two-coloring that, for every fixture set that is
-infinite and weakly apart, colors two of its finite sums differently; the
-witness finders below reproduce that on concrete fixtures and return
-fully re-verified reports.
+falling back to the block maximum.  Both block queries come from the
+family's set descriptors (Delta3Family.block_first), never from a scan
+of the block, so colorings stay cheap at top bits near 60.  Feeding the
+request function to the tree coloring yields a two-coloring that, for
+every fixture set that is infinite and weakly apart, colors two of its
+finite sums differently; the witness finders below reproduce that on
+concrete fixtures and return fully re-verified reports.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import weakref
 from dataclasses import dataclass, field
 
 from . import dyadic
-from .dyadic import block_upto, finite_sums, low_bit, top_bit
-from .errors import GuardError, Guards, MissingOracleError, VerificationError, WitnessSearchError
+from .dyadic import finite_sums, low_bit, top_bit
+from .errors import Guards, VerificationError, WitnessSearchError
 from .families import Delta3Family
 from .treecolor import RequestFunction, TriRequestFunction, block_max, lift_tri, tree_coloring
 
@@ -42,14 +44,9 @@ def _engine(family) -> _Engine:
     return engine
 
 
-def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int,
-                    max_exponent: int = Guards.block_exponent) -> int:
+def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int) -> int:
     """1 iff some member of the block at exponent n is staged-in at (k, s)."""
-    if n < 0:
-        raise ValueError("block exponent must be nonnegative")
-    if n > max_exponent:
-        raise GuardError("block_exponent", max_exponent, n)
-    return int(any(family.evaluate(i, x, k, s) for x in dyadic.iter_block(n)))
+    return int(family.block_first(i, n, k, s) is not None)
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,7 @@ class CandidateSet:
         return n in self.members
 
 
-def candidate_set(family: Delta3Family, i: int, k: int, s: int,
-                  max_exponent: int = Guards.block_exponent) -> CandidateSet:
+def candidate_set(family: Delta3Family, i: int, k: int, s: int) -> CandidateSet:
     """Collect up to 2**i exponents n in the open interval (i, s) whose
     block currently looks inhabited by family i."""
     engine = _engine(family)
@@ -77,7 +73,7 @@ def candidate_set(family: Delta3Family, i: int, k: int, s: int,
     quota = 1 << i
     members = []
     for n in range(i + 1, s):
-        if block_indicator(family, i, n, k, s, max_exponent=max_exponent):
+        if block_indicator(family, i, n, k, s):
             members.append(n)
             if len(members) == quota:
                 break
@@ -86,44 +82,36 @@ def candidate_set(family: Delta3Family, i: int, k: int, s: int,
     return result
 
 
-def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int,
-                      max_exponent: int = Guards.block_exponent) -> int:
+def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int) -> int:
     for i in range(min(n, family.count)):
-        if n in candidate_set(family, i, k, s, max_exponent=max_exponent):
+        if n in candidate_set(family, i, k, s):
             return i
     return n
 
 
-def chooser(family: Delta3Family, n: int, w: int,
-            max_exponent: int = Guards.block_exponent) -> int:
+def chooser(family: Delta3Family, n: int, w: int) -> int:
     """Least family index below n whose candidate set claims n, else n."""
     if n >= low_bit(w):
         raise ValueError("chooser needs n < low_bit(w)")
-    return chooser_at_stages(family, n, low_bit(w), top_bit(w), max_exponent=max_exponent)
+    return chooser_at_stages(family, n, low_bit(w), top_bit(w))
 
 
-def request_at_stages(family: Delta3Family, n: int, k: int, s: int,
-                      max_exponent: int = Guards.block_exponent) -> int:
+def request_at_stages(family: Delta3Family, n: int, k: int, s: int) -> int:
     """The request value at explicit stage parameters (k, s)."""
-    if n > max_exponent:
-        raise GuardError("block_exponent", max_exponent, n)
     engine = _engine(family)
     key = (n, k, s)
     cached = engine.requests.get(key)
     if cached is not None:
         return cached
-    j = chooser_at_stages(family, n, k, s, max_exponent=max_exponent)
-    value = block_max(n)
-    for x in dyadic.iter_block(n):
-        if family.evaluate(j, x, k, s):
-            value = x
-            break
+    j = chooser_at_stages(family, n, k, s)
+    value = family.block_first(j, n, k, s)
+    if value is None:
+        value = block_max(n)
     engine.requests[key] = value
     return value
 
 
-def request(family: Delta3Family, n: int, w: int,
-            max_exponent: int = Guards.block_exponent) -> int:
+def request(family: Delta3Family, n: int, w: int) -> int:
     """Least block member the chosen family stages in, else the block max.
 
     Factors through (n, low_bit(w), top_bit(w)): the staged approximations
@@ -131,22 +119,21 @@ def request(family: Delta3Family, n: int, w: int,
     """
     if n >= low_bit(w):
         raise ValueError("request needs n < low_bit(w)")
-    return request_at_stages(family, n, low_bit(w), top_bit(w), max_exponent=max_exponent)
+    return request_at_stages(family, n, low_bit(w), top_bit(w))
 
 
-def request_function(family: Delta3Family,
-                     max_exponent: int = Guards.block_exponent) -> RequestFunction:
+def request_function(family: Delta3Family) -> RequestFunction:
     tri = TriRequestFunction(
-        lambda n, k, s: request_at_stages(family, n, k, s, max_exponent=max_exponent),
+        lambda n, k, s: request_at_stages(family, n, k, s),
         description="staged-membership request (%s)" % (family.description or "family"),
     )
     return lift_tri(tri)
 
 
-def coloring(family: Delta3Family, max_exponent: int = Guards.block_exponent):
+def coloring(family: Delta3Family):
     """The two-coloring induced by the family's request function, total on
     positives (see treecolor.tree_coloring)."""
-    color = tree_coloring(request_function(family, max_exponent=max_exponent))
+    color = tree_coloring(request_function(family))
     color.description = "membership-killer coloring (%s)" % (family.description or "family")
     return color
 
@@ -183,7 +170,7 @@ def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = Gua
     """
     limit = candidate_limit(family, i, horizon=horizon)
     big_n = max(limit)
-    query = block_upto(big_n)
+    query = range(1, 1 << (big_n + 1))
     k_floor = family.settle_k(i, query)
     for dk in sample_offsets:
         k = k_floor + dk
@@ -226,28 +213,23 @@ class Delta3Witness:
         return self.x + self.w1 + self.w2
 
 
-def verify_witness(family: Delta3Family, witness: Delta3Witness,
-                   max_exponent: int = Guards.block_exponent) -> None:
+def verify_witness(family: Delta3Family, witness: Delta3Witness) -> None:
     """Recompute every claim in a witness from scratch.
 
     Uses a fresh request engine so no memoized state from the search is
     trusted; raises VerificationError on the first disagreement.
     """
-    fresh = Delta3Family(
-        sets=family.sets, delay=family.delay,
-        evaluator=family._evaluator, count=family.count,
-        description=family.description,
-    )
+    fresh = Delta3Family(family.sets, family.delay, description=family.description)
     x, w1, w2 = witness.x, witness.w1, witness.w2
     for value in (x, w1, w2):
-        if family.has_truth and not fresh.truth(witness.index, value):
+        if not fresh.truth(witness.index, value):
             raise VerificationError("%d is not a member of fixture %d" % (value, witness.index))
     if not (dyadic.apart(x, w1) and dyadic.apart(w1, w2)):
         raise VerificationError("witness elements are not pairwise apart")
     w = w1 + w2
-    if request(fresh, top_bit(x), w, max_exponent=max_exponent) != x:
+    if request(fresh, top_bit(x), w) != x:
         raise VerificationError("request at (%d, %d) does not return x=%d" % (top_bit(x), w, x))
-    color = coloring(fresh, max_exponent=max_exponent)
+    color = coloring(fresh)
     c1, c2 = color(w), color(w + x)
     if (c1, c2) != (witness.color_sum, witness.color_sum_with_x):
         raise VerificationError("recomputed colors (%d, %d) differ from report" % (c1, c2))
@@ -260,8 +242,7 @@ def verify_witness(family: Delta3Family, witness: Delta3Witness,
 
 def find_witness(family: Delta3Family, i: int, *, mode: str = "oracle",
                  bound: int = Guards.blind_bound,
-                 horizon: int = Guards.horizon,
-                 max_exponent: int = Guards.block_exponent) -> Delta3Witness:
+                 horizon: int = Guards.horizon) -> Delta3Witness:
     """Find x << w1 << w2 in fixture i with differing sum colors.
 
     Oracle mode walks the limit argument: settle the candidate set, pick
@@ -271,20 +252,16 @@ def find_witness(family: Delta3Family, i: int, *, mode: str = "oracle",
     and tests directly; exhaustion raises, it never silently succeeds.
     """
     if mode == "oracle":
-        witness = _oracle_witness(family, i, horizon, max_exponent)
+        witness = _oracle_witness(family, i, horizon)
     elif mode == "blind":
-        witness = _blind_witness(family, i, bound, horizon, max_exponent)
+        witness = _blind_witness(family, i, bound)
     else:
         raise ValueError("mode must be 'oracle' or 'blind', got %r" % (mode,))
-    verify_witness(family, witness, max_exponent=max_exponent)
+    verify_witness(family, witness)
     return witness
 
 
-def _oracle_witness(family, i, horizon, max_exponent):
-    if not family.has_truth:
-        raise MissingOracleError(
-            "fixture %d has no truth/settling oracle; use blind mode with a bound" % i
-        )
+def _oracle_witness(family, i, horizon):
     ok, certificate = family.weak_apart_on(i, horizon)
     if not ok:
         raise WitnessSearchError(
@@ -295,7 +272,7 @@ def _oracle_witness(family, i, horizon, max_exponent):
     limit = check_candidate_settling(family, i, horizon=horizon)
     pool = [x for n in limit for x in family.block_members(i, n)]
     big_n = max(limit)
-    query = block_upto(big_n)
+    query = range(1, 1 << (big_n + 1))
     settle_k = family.settle_k(i, query)
     pool_top = max(top_bit(x) for x in pool)
 
@@ -313,13 +290,13 @@ def _oracle_witness(family, i, horizon, max_exponent):
     )
     w = w1 + w2
     for x in pool:
-        if request(family, top_bit(x), w, max_exponent=max_exponent) == x:
+        if request(family, top_bit(x), w) == x:
             break
     else:
         raise VerificationError(
             "no pool element is requested at the settled stages; fixture oracle is unsound"
         )
-    color = coloring(family, max_exponent=max_exponent)
+    color = coloring(family)
     return Delta3Witness(
         index=i, x=x, w1=w1, w2=w2,
         color_sum=color(w), color_sum_with_x=color(w + x),
@@ -335,15 +312,13 @@ def _oracle_witness(family, i, horizon, max_exponent):
     )
 
 
-def _blind_witness(family, i, bound, horizon, max_exponent):
-    if not family.has_truth:
-        raise MissingOracleError("blind search still needs member enumeration")
+def _blind_witness(family, i, bound):
     members = []
     for x in family.members(i):
         if x > bound:
             break
         members.append(x)
-    color = coloring(family, max_exponent=max_exponent)
+    color = coloring(family)
     for a, w1 in enumerate(members):
         for w2 in members[a + 1:]:
             if not dyadic.apart(w1, w2) or w1 + w2 > bound:
@@ -352,7 +327,7 @@ def _blind_witness(family, i, bound, horizon, max_exponent):
             for x in members:
                 if x >= w1 or not dyadic.apart(x, w1):
                     continue
-                if request(family, top_bit(x), w, max_exponent=max_exponent) != x:
+                if request(family, top_bit(x), w) != x:
                     continue
                 c1, c2 = color(w), color(w + x)
                 if c1 != c2:

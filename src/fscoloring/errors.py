@@ -14,7 +14,6 @@ class Guards:
     guarded function takes its default bound from here.
     """
 
-    block_exponent: int = 20
     tree_exponent: int = 16
     request_exponent: int = 8
     chain_bits: int = 64
@@ -55,10 +54,6 @@ class GuardError(RuntimeError):
 
 class FixtureError(ValueError):
     """A fixture family or schedule violates its declared shape."""
-
-
-class MissingOracleError(RuntimeError):
-    """An operation needed truth/settling oracles the family does not carry."""
 
 
 class WitnessSearchError(RuntimeError):

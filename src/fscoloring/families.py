@@ -9,11 +9,14 @@ The limit constructions consume two kinds of indexed families:
   every y.
 
 True universal enumerations of such families are not implementable, so
-both kinds are plain interfaces here, with fixture constructors that
-realize them over decidable, enumerable sets.  Fixtures carry exact
+every family here is backed by set descriptors: one SetSpec per index,
+a decidable, increasingly enumerable set.  The descriptors give exact
 truth, member enumeration, and settling oracles that bound how long the
 staged values may disagree with truth; the construction modules never
-read the oracles except inside witness finders.
+read the oracles except inside witness finders.  Block queries (the
+least staged-in member of a block, the minimum count over a block) are
+answered from the descriptors, never by scanning the block, so they stay
+cheap at block exponents near 60.
 
 Evaluators are pure and fixtures immutable after construction, so all of
 this is safe for unrestricted concurrent use.
@@ -22,11 +25,12 @@ this is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .dyadic import has_weak_apartness, top_bit
-from .errors import FixtureError, MissingOracleError
+from .errors import FixtureError
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +142,24 @@ class SetSpec:
         return out
 
     def block_members(self, n: int) -> list:
-        """Members inside the block at exponent n, in increasing order."""
-        return [x for x in self.members_upto_bit(n) if top_bit(x) == n]
+        """Members inside the block at exponent n, in increasing order.
+
+        Read off the descriptor, without enumerating smaller members, so
+        the cost does not grow with n.
+        """
+        if n < 0:
+            return []
+        if self.kind == "explicit":
+            lo = bisect_left(self.elements, 1 << n)
+            return list(self.elements[lo:bisect_left(self.elements, 1 << (n + 1))])
+        if self.kind == "powers":
+            if n >= self.min_exponent and n % self.modulus == self.residue:
+                return [1 << n]
+            return []
+        return sorted({
+            c << (n - top_bit(c)) for c in self.coefficients
+            if top_bit(c) <= n and (n - top_bit(c)) % self.step == 0
+        })
 
     def is_finite(self) -> bool:
         return self.kind == "explicit"
@@ -190,47 +210,42 @@ class SetFamily:
     """Truth, member enumeration and weak apartness over a tuple of SetSpec.
 
     truth, members and block_members read indices outside the catalog as
-    the empty set.  sets is None for families built from a bare
-    evaluator, which carry no truth oracle and declare their count.
+    the empty set.
     """
 
-    def __init__(self, sets: Optional[Iterable[SetSpec]], description="", count=None):
-        self.sets: Optional[Tuple[SetSpec, ...]] = tuple(sets) if sets is not None else None
-        self.count = len(self.sets) if self.sets is not None else int(count or 0)
+    def __init__(self, sets: Iterable[SetSpec], description=""):
+        self.sets: Tuple[SetSpec, ...] = tuple(sets)
+        self.count = len(self.sets)
         self.description = description
 
-    @property
-    def has_truth(self) -> bool:
-        return self.sets is not None
-
     def truth(self, i, x) -> int:
-        self._need_truth()
         if not (0 <= i < self.count):
             return 0
         return 1 if self.sets[i].contains(x) else 0
 
     def members(self, i) -> Iterator[int]:
-        self._need_truth()
         if not (0 <= i < self.count):
             return iter(())
         return self.sets[i].members()
 
     def block_members(self, i, n) -> list:
-        self._need_truth()
         if not (0 <= i < self.count):
             return []
         return self.sets[i].block_members(n)
 
     def weak_apart_on(self, i, horizon):
-        self._need_truth()
         return has_weak_apartness(self.sets[i].members_upto_bit(horizon))
 
-    def _need_truth(self):
-        if self.sets is None:
-            raise MissingOracleError(
-                "family %r carries no truth oracle; use blind mode with a bound"
-                % (self.description,)
-            )
+    @staticmethod
+    def _least_non_member(n, members) -> Optional[int]:
+        """Least element of the block at exponent n outside members."""
+        x = 1 << n
+        taken = set(members)
+        while x < (1 << (n + 1)):
+            if x not in taken:
+                return x
+            x += 1
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +268,46 @@ class Delta3Family(SetFamily):
 
     evaluate(i, x, k, s) is total, deterministic and {0,1}-valued for all
     nonnegative arguments; indices outside the catalog evaluate to 0
-    everywhere.  Fixture instances hold one DelaySchedule per set (delay)
-    and also expose truth, member enumeration and settling bounds;
-    instances built from a bare evaluator support blind searches only.
+    everywhere.  Each set has one DelaySchedule (delay): before stage
+    delay(k) the staged values are the complement of truth, from it on
+    they equal truth.
+
+    block_first answers the construction's block query from the set
+    descriptor: a delay never depends on x, so the staged block is the
+    truth block or its complement, and its least staged-in member is the
+    least member or the least non-member of the block.
     """
 
-    def __init__(self, sets=None, delay=None, *, evaluator=None, count=None,
-                 description=""):
-        if sets is None and evaluator is None:
-            raise FixtureError("either truth sets or a raw evaluator is required")
-        super().__init__(sets, description, count)
-        self._evaluator = evaluator
+    def __init__(self, sets, delay=None, *, description=""):
+        super().__init__(sets, description)
         self.delay = tuple(delay) if delay is not None else (DelaySchedule(),) * self.count
-        if self.sets is not None and len(self.delay) != self.count:
+        if len(self.delay) != self.count:
             raise FixtureError("a delta3 family needs one delay schedule per set")
 
     def evaluate(self, i, x, k, s) -> int:
-        if self._evaluator is not None:
-            return self._evaluator(i, x, k, s)
         if not (0 <= i < self.count):
             return 0
         t = 1 if self.sets[i].contains(x) else 0
         return t if s >= self.delay[i](k) else 1 - t
 
+    def block_first(self, i, n, k, s) -> Optional[int]:
+        """Least x in the block at exponent n with evaluate(i, x, k, s) == 1,
+        or None."""
+        if n < 0:
+            raise ValueError("block exponent must be nonnegative, got %r" % (n,))
+        if not (0 <= i < self.count):
+            return None
+        members = self.block_members(i, n)
+        if s >= self.delay[i](k):
+            return members[0] if members else None
+        return self._least_non_member(n, members)
+
     # Settling oracle: for any finite query set X, staged values agree
     # with truth on X whenever k > settle_k(i, X) and s > settle_s(i, k, X).
     def settle_k(self, i, query_set) -> int:
-        self._need_truth()
         return 0
 
     def settle_s(self, i, k, query_set) -> int:
-        self._need_truth()
         if not (0 <= i < self.count and query_set):
             return 0
         return self.delay[i](k)
@@ -378,16 +402,6 @@ class MonotoneFamily(SetFamily):
             best_x = non_member
         assert best_x is not None  # members and non-members cover the block
         return best_value, best_x
-
-    @staticmethod
-    def _least_non_member(n, members) -> Optional[int]:
-        x = 1 << n
-        taken = set(members)
-        while x < (1 << (n + 1)):
-            if x not in taken:
-                return x
-            x += 1
-        return None
 
     # Settling oracle.
     def member_limit(self, i, x, y) -> int:
@@ -505,9 +519,6 @@ def validate_family(family, *, max_index=4, max_point=4096, max_param=128,
                         violations.append(
                             "evaluate(%d,%d,%d,%d) = %r not in {0,1}" % (i, x, a, b, value)
                         )
-
-        if not getattr(family, "has_truth", False):
-            continue
 
         # settling soundness on a small query set
         query = [x for x in range(1, 16)]

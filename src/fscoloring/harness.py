@@ -46,7 +46,7 @@ def save_config(path, payload) -> None:
 # Colorings
 
 
-def build_coloring(spec: dict, guards: Guards = Guards()):
+def build_coloring(spec: dict):
     """Realize a serializable coloring description as a callable.
 
     Returns (color, arity); color maps a positive integer to an int or a
@@ -66,15 +66,15 @@ def build_coloring(spec: dict, guards: Guards = Guards()):
     if kind in ("delta3", "delta3-product", "pi3", "pi3-product"):
         catalog, _, product = kind.partition("-")
         family = _catalog_family(spec["config"], catalog)
-        return _construction_coloring(family, guards, product=bool(product)), 3 if product else 1
+        return _construction_coloring(family, product=bool(product)), 3 if product else 1
     raise FixtureError("unknown coloring id %r" % (kind,))
 
 
-def _construction_coloring(family, guards: Guards, *, product: bool = False):
+def _construction_coloring(family, *, product: bool = False):
     """The family's construction coloring, alone or in product with the
     pair coloring."""
     if isinstance(family, Delta3Family):
-        base = delta3.coloring(family, max_exponent=guards.block_exponent)
+        base = delta3.coloring(family)
     else:
         base = pi3.coloring(family)
     if product:
@@ -273,7 +273,12 @@ def _catalog_family(config: dict, catalog: str):
     return family
 
 
-def _check_family(family) -> None:
+def _check_family(family, index: int) -> None:
+    """Reject an index outside the catalog, then validate the family."""
+    if not (0 <= index < family.count):
+        raise FixtureError(
+            "fixture index %d is outside the catalog [0, %d)" % (index, family.count)
+        )
     report = validate_family(family)
     if not report.ok:
         raise FixtureError("fixture validation failed:\n%s" % report)
@@ -284,7 +289,7 @@ def _witness_report(config: dict, family, index: int, mode: str, guards: Guards)
     if isinstance(family, Delta3Family):
         witness = delta3.find_witness(
             family, index, mode=mode, bound=guards.blind_bound,
-            horizon=guards.horizon, max_exponent=guards.block_exponent,
+            horizon=guards.horizon,
         )
         return delta3_report(config, witness)
     witness = pi3.find_witness(
@@ -313,7 +318,7 @@ def run_pi3(config: dict, index: int, *, mode: str = "oracle",
 
 def _run_witness(catalog, config, index, mode, guards, out) -> dict:
     family = _catalog_family(config, catalog)
-    _check_family(family)
+    _check_family(family, index)
     return _written(_witness_report(config, family, index, mode, guards), out)
 
 
@@ -325,7 +330,7 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
     fixtures failing weak apartness through the bit-parity components.
     """
     family = build_family(config)
-    _check_family(family)
+    _check_family(family, index)
     ok, certificate = family.weak_apart_on(index, guards.horizon)
     if ok:
         branch = "construction"
@@ -338,7 +343,7 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
         branch = "killer"
         embedded = None
         u, v, u_terms, v_terms = _killer_kill(certificate)
-    prod = _construction_coloring(family, guards, product=True)
+    prod = _construction_coloring(family, product=True)
     cu, cv = prod(u), prod(v)
     if cu == cv:
         raise VerificationError("product colors of %d and %d agree" % (u, v))
@@ -415,8 +420,8 @@ def build_stream(spec: dict):
 
 
 def eval_table(coloring_spec: dict, start: int, end: int, *,
-               guards: Guards = Guards(), out: Optional[str] = None) -> dict:
-    color, arity = build_coloring(coloring_spec, guards)
+               out: Optional[str] = None) -> dict:
+    color, arity = build_coloring(coloring_spec)
     payload = {
         "report": "eval-table",
         "coloring": coloring_spec,
@@ -433,7 +438,7 @@ def eval_table(coloring_spec: dict, start: int, end: int, *,
 
 def search_report(coloring_spec: dict, max_terms, bound, size, *,
                   guards: Guards = Guards(), out: Optional[str] = None) -> dict:
-    color, _arity = build_coloring(coloring_spec, guards)
+    color, _arity = build_coloring(coloring_spec)
     result = search_mono(
         color, max_terms, bound, size, coloring_spec=coloring_spec,
         max_combinations=guards.search_combinations,
@@ -546,7 +551,7 @@ def _verify_delta3(payload, guards):
     _check_certificate(
         family, witness.index, payload["certificates"]["sum_with_x"], witness.sum_with_x
     )
-    delta3.verify_witness(family, witness, max_exponent=guards.block_exponent)
+    delta3.verify_witness(family, witness)
     return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)]
 
 
@@ -578,7 +583,7 @@ def _check_certificate(family, index, terms, total) -> None:
     if len(set(values)) != len(values):
         raise VerificationError("certificate terms repeat")
     for value in values:
-        if family.has_truth and not family.truth(index, value):
+        if not family.truth(index, value):
             raise VerificationError("certificate term %d outside fixture %d" % (value, index))
 
 
@@ -586,7 +591,7 @@ def _verify_product_kill(payload, guards):
     family = build_family(payload["config"])
     index = int(payload["index"])
     u, v = int(payload["u"]), int(payload["v"])
-    prod = _construction_coloring(family, guards, product=True)
+    prod = _construction_coloring(family, product=True)
     cu, cv = prod(u), prod(v)
     if [str(c) for c in cu] != payload["color_u"] or [str(c) for c in cv] != payload["color_v"]:
         raise VerificationError("recomputed product colors differ from report")
@@ -651,7 +656,7 @@ _RERUNS = {
         lambda p: "search outcome %r re-verified" % p["outcome"],
     ),
     "eval-table": (
-        lambda p, guards: eval_table(p["coloring"], int(p["start"]), int(p["end"]), guards=guards),
+        lambda p, guards: eval_table(p["coloring"], int(p["start"]), int(p["end"])),
         ("values",), "recomputed table differs",
         lambda p: "%d table entries re-verified" % len(p["values"]),
     ),

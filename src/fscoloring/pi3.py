@@ -34,30 +34,14 @@ _MISSING = object()
 _engines = weakref.WeakKeyDictionary()
 
 
-def guess_bound(family, i, n, y, s, max_exponent=Guards.block_exponent) -> int:
+def guess_bound(family, i, n, y, s) -> int:
     """Minimum family count over the block at exponent n."""
-    return _block_min(family, i, n, y, s, max_exponent)[0]
+    return family.block_min(i, n, y, s)[0]
 
 
-def guess_element(family, i, n, y, s, max_exponent=Guards.block_exponent) -> int:
+def guess_element(family, i, n, y, s) -> int:
     """Least block member realizing the minimum count (ties to the least x)."""
-    return _block_min(family, i, n, y, s, max_exponent)[1]
-
-
-def _block_min(family, i, n, y, s, max_exponent):
-    if n < 0:
-        raise ValueError("block exponent must be nonnegative")
-    fast = getattr(family, "block_min", None)
-    if fast is not None:
-        return fast(i, n, y, s)
-    if n > max_exponent:
-        raise GuardError("block_exponent", max_exponent, n)
-    best_value, best_x = None, None
-    for x in dyadic.iter_block(n):
-        value = family.evaluate(i, x, y, s)
-        if best_value is None or value < best_value:
-            best_value, best_x = value, x
-    return best_value, best_x
+    return family.block_min(i, n, y, s)[1]
 
 
 class StageTable:
@@ -116,8 +100,8 @@ class Pi3Engine:
     # The request evaluator serves every exponent up to the chain bit guard,
     # not only the witness search's request_exponent: full colorings query
     # requests at every level below the vertex's top bit, and the modulus
-    # 2**n stays cheap because guesses never scan blocks elementwise when
-    # the family provides block minima.
+    # 2**n stays cheap because guesses read block minima from the family's
+    # set descriptors (MonotoneFamily.block_min), never scanning a block.
     def __init__(self, family, max_request_exponent=Guards.chain_bits):
         self.family = family
         self.max_request_exponent = max_request_exponent
@@ -188,7 +172,7 @@ def request_function(family) -> RequestFunction:
     engine = _engine(family)
     return RequestFunction(
         engine.request,
-        description="staged-count request (%s)" % (getattr(family, "description", "") or "family"),
+        description="staged-count request (%s)" % (family.description or "family"),
     )
 
 
@@ -196,7 +180,7 @@ def coloring(family):
     """The two-coloring induced by the synthesized request function, total on
     positives (see treecolor.tree_coloring)."""
     color = tree_coloring(request_function(family))
-    color.description = "count-killer coloring (%s)" % (getattr(family, "description", "") or "family")
+    color.description = "count-killer coloring (%s)" % (family.description or "family")
     return color
 
 
@@ -562,6 +546,15 @@ def verify_witness(family, witness: Pi3Witness) -> None:
     """Recompute every claim in a witness from a fresh engine."""
     engine = Pi3Engine(family)
     i, n = witness.index, witness.block_exponent
+    # Check the spread's shape before any work that grows with 2**n.
+    size = len(witness.sums)
+    if not (0 < n < size.bit_length() and size == 1 << n):
+        raise VerificationError("a spread at exponent %d needs 2**%d sums, found %d" % (n, n, size))
+    if len(witness.chain) != size + 1 or len(witness.requests) != size:
+        raise VerificationError(
+            "a spread of %d sums needs %d chain elements and %d requests, found %d and %d"
+            % (size, size + 1, size, len(witness.chain), len(witness.requests))
+        )
     if stable_index(family, n) != i:
         raise VerificationError("exponent %d is not stable for fixture %d" % (n, i))
     for x in witness.chain:
@@ -573,7 +566,6 @@ def verify_witness(family, witness: Pi3Witness) -> None:
     failed = _failing_link(engine, n, witness.chain)
     if failed is not None:
         raise VerificationError("guess equation fails at link %d" % failed)
-    size = 1 << n
     expected_sums = tuple(sum(witness.chain[j:]) for j in range(size))
     if witness.sums != expected_sums:
         raise VerificationError("claimed sums are not the chain's suffix sums")

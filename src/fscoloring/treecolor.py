@@ -26,6 +26,11 @@ from typing import Callable, Dict, Tuple
 from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards
 
+#: Largest top bit the factored evaluator accepts.  Its potential
+#: recursion nests one call per bit level, so deeper blocks would exhaust
+#: the interpreter's stack.
+FACTORED_MAX_EXPONENT = 512
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -310,6 +315,8 @@ def _signed_count_factored(tri, w: int) -> int:
     # is factored.  The table has at most s*(s+1)/2 entries, one request
     # evaluation each, and Phi(w) telescopes over w's own set bits.
     s = top_bit(w)
+    if s > FACTORED_MAX_EXPONENT:
+        raise GuardError("factored_exponent", FACTORED_MAX_EXPONENT, s)
     table: Dict[Tuple[int, int], int] = {}
 
     def delta(low, level):

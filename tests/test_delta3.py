@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fscoloring import delta3
@@ -101,6 +103,20 @@ class TestColoring:
             for w in range(1 << s, 1 << (s + 1)):
                 for n in range(low_bit(w)):
                     assert color(w) != color(w + delta3.request(family, n, w))
+
+    @pytest.mark.parametrize("variant", ["instant", "delayed", "growing"])
+    @pytest.mark.parametrize("bits", [40, 60])
+    def test_contract_at_high_top_bits(self, variant, bits):
+        # c(w + R(n, w)) = c(w) + 1 (mod 2) at sampled vertices far beyond
+        # any block an element scan could reach
+        family = delta3_catalog(variant)
+        color = delta3.coloring(family)
+        rng = random.Random(bits)
+        for _ in range(4):
+            low = rng.randrange(4, 24)
+            w = (1 << bits) | (rng.getrandbits(bits - low) << low) | (1 << low)
+            for n in rng.sample(range(low), 3):
+                assert color(w + delta3.request(family, n, w)) == (color(w) + 1) % 2
 
 
 class TestCandidateLimit:

@@ -1,6 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from fscoloring.errors import FixtureError, MissingOracleError
+from fscoloring.errors import FixtureError
 from fscoloring.families import (
     CATALOG_SETS,
     Delta3Family,
@@ -8,6 +11,7 @@ from fscoloring.families import (
     MonotoneFamily,
     MonotoneSchedule,
     SetSpec,
+    build_family,
     delayed_delta3,
     delta3_catalog,
     instant_delta3,
@@ -17,6 +21,12 @@ from fscoloring.families import (
 )
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def scan_first(family, i, n, k, s):
+    """Reference oracle for block_first: scan the block element by element."""
+    return next((x for x in range(1 << n, 1 << (n + 1)) if family.evaluate(i, x, k, s)), None)
 
 
 class TestSetSpec:
@@ -38,6 +48,19 @@ class TestSetSpec:
         assert spec.members_upto_bit(7) == [4, 6, 16, 24, 64, 96]
         assert spec.contains(24) and not spec.contains(12)
         assert spec.block_members(4) == [16, 24]
+
+    def test_block_members_match_enumeration(self):
+        # block_members reads the descriptor; the reference enumerates members
+        specs = list(CATALOG_SETS) + [
+            SetSpec.explicit([1, 2, 3, 12, 13, 48, 200, 1 << 40]),
+            SetSpec.coeff_powers((1, 3, 5, 6, 7, 12), step=3),
+            SetSpec.powers(modulus=3, residue=2, min_exponent=7),
+        ]
+        for spec in specs:
+            for n in range(45):
+                expected = [x for x in spec.members_upto_bit(n) if x >= 1 << n]
+                assert spec.block_members(n) == expected
+        assert ODD.block_members(-1) == []
 
     def test_payload_roundtrip(self):
         for spec in CATALOG_SETS:
@@ -91,6 +114,42 @@ class TestDelayed:
         assert family.settle_s(0, 4, [8]) == 7
         assert family.evaluate(0, 8, 4, 6) == 0
         assert family.evaluate(0, 8, 4, 7) == 1
+
+
+class TestBlockFirst:
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("delta3-*.json")) + [None],
+        ids=lambda path: path.stem if path else "delayed-explicit",
+    )
+    def test_matches_scan(self, path):
+        if path is None:
+            family = delayed_delta3(
+                [SetSpec.explicit([3, 12, 13, 48, 200]), SetSpec.coeff_powers((3, 5), step=1)],
+                DelaySchedule(base=2, per_k=1),
+            )
+        else:
+            family = build_family(json.loads(path.read_text(encoding="utf-8")))
+        for i in range(-1, family.count + 2):  # out-of-range indices included
+            for n in range(11):
+                for k in (0, 1, 3):
+                    for s in (0, 2, 4, 6, 9):
+                        assert family.block_first(i, n, k, s) == scan_first(family, i, n, k, s)
+
+    def test_examples(self):
+        family = delayed_delta3([ODD], DelaySchedule(base=5))
+        assert family.block_first(0, 3, 0, 5) == 8  # settled: the least member
+        assert family.block_first(0, 2, 0, 5) is None  # settled on an empty block
+        assert family.block_first(0, 3, 0, 4) == 9  # before the delay: least non-member
+        assert family.block_first(0, 0, 0, 4) == 1  # the non-member 1, staged in
+        assert family.block_first(0, 0, 0, 5) is None
+        assert family.block_first(3, 3, 0, 5) is None  # index out of range
+        # no scan: blocks near 2**60 answer directly
+        assert family.block_first(0, 61, 0, 5) == 1 << 61
+        assert family.block_first(0, 61, 0, 4) == (1 << 61) + 1
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            instant_delta3([ODD]).block_first(0, -1, 0, 0)
 
 
 class TestMonotone:
@@ -170,15 +229,6 @@ class TestValidate:
         report = validate_family(Lying(sets=base.sets, delay=base.delay))
         assert not report.ok
         assert any("disagrees with truth" in v for v in report.violations)
-
-
-def test_truthless_family_refuses_oracle_queries():
-    family = Delta3Family(evaluator=lambda i, x, k, s: 0, count=1)
-    assert not family.has_truth
-    with pytest.raises(MissingOracleError):
-        family.truth(0, 4)
-    with pytest.raises(MissingOracleError):
-        family.settle_k(0, [1])
 
 
 def test_delta3_family_needs_one_delay_per_set():

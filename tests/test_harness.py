@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ from fscoloring.dyadic import finite_sums, has_weak_apartness
 from fscoloring.errors import FixtureError, GuardError
 from fscoloring.families import Delta3Family, MonotoneFamily
 from fscoloring.treecolor import popcount_coloring
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSearchMono:
@@ -89,7 +94,7 @@ class TestConfig:
         assert family.evaluate(0, 8, 2, 5) == 1
 
     @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
+        "path", sorted((ROOT / "configs").glob("*.json")),
         ids=lambda path: path.stem,
     )
     def test_shipped_configs_are_the_default_catalog(self, path):
@@ -106,7 +111,7 @@ class TestGuards:
     def test_overrides(self):
         guards = harness.Guards.from_payload({"horizon": "30"}, blind_bound=99)
         assert guards.horizon == 30 and guards.blind_bound == 99
-        assert guards.block_exponent == 20
+        assert guards.tree_exponent == 16
 
     def test_payload_roundtrip(self):
         guards = harness.Guards(horizon=31)
@@ -325,6 +330,76 @@ class TestCli:
         ]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("product", [False, True])
+    @pytest.mark.parametrize("index", ["7", "-1"])
+    @pytest.mark.parametrize("catalog", ["delta3", "pi3"])
+    def test_rejects_out_of_range_index(self, catalog, index, product, capsys):
+        argv = [catalog, "witness", "--index", index] + (["--product"] if product else [])
+        assert cli.main(argv) == 2
+        assert "outside the catalog [0, 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("min_exponent", [21, 40])
+    def test_deep_delta3_witness(self, min_exponent, tmp_path, capsys):
+        config = harness.default_config("delta3", "instant")
+        config["families"][0]["set"]["min_exponent"] = str(min_exponent)
+        path, report = tmp_path / "deep.json", tmp_path / "w.json"
+        harness.save_config(str(path), config)
+        assert cli.main([
+            "delta3", "witness", "--index", "0", "--config", str(path),
+            "--guard-horizon", "64", "--out", str(report),
+        ]) == 0
+        assert int(json.loads(report.read_text())["x"]) >= 1 << min_exponent
+        assert cli.main(["verify", str(report)]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("start", [1 << 60, (1 << 60) + (1 << 40)])
+    @pytest.mark.parametrize("variant", ["instant", "delayed", "growing"])
+    def test_delta3_eval_at_top_bit_60(self, variant, start, tmp_path, capsys):
+        # from 2**60 + 2**40 on, requests reach blocks at exponents up to 39
+        report = tmp_path / "eval.json"
+        assert cli.main([
+            "eval", "--coloring", "delta3", "--variant", variant,
+            "--start", str(start), "--end", str(start + 7), "--out", str(report),
+        ]) == 0
+        assert cli.main(["verify", str(report)]) == 0
+        assert "8 table entries re-verified" in capsys.readouterr().out
+
+    def test_delta3_eval_beyond_factored_limit(self, capsys):
+        w = (1 << 600) + (1 << 300)
+        assert cli.main(["eval", "--coloring", "delta3", "--start", str(w), "--end", str(w)]) == 2
+        assert "guard 'factored_exponent' exceeded" in capsys.readouterr().err
+
+    def test_verify_rejects_oversized_spread_fast(self, tmp_path):
+        # a pi3 report claiming exponent 30 with a three-element chain must
+        # fail on the spread's shape, not build 2**30 suffix sums first
+        x, chain = 1 << 30, [1 << 31, 1 << 33, 1 << 35]
+        w = chain[1] + chain[2]
+        payload = {
+            "report": "pi3-witness",
+            "config": {"catalog": "pi3", "families": [{
+                "index": "0", "kind": "monotone",
+                "set": {"kind": "powers", "modulus": "1", "residue": "0",
+                        "min_exponent": "30"},
+            }]},
+            "index": "0", "mode": "oracle", "block_exponent": "30",
+            "x": str(x), "w": str(w), "color_w": "0", "color_w_plus_x": "1",
+            "chain": [str(c) for c in chain], "sums": [str(w)], "requests": [str(x)],
+            "certificates": {"w": [str(chain[1]), str(chain[2])],
+                             "w_plus_x": [str(x), str(chain[1]), str(chain[2])]},
+        }
+        report = tmp_path / "crafted.json"
+        report.write_text(json.dumps(payload))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "fscoloring.cli", "verify", str(report)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "needs 2**30 sums" in result.stdout
+
     @pytest.mark.parametrize("coloring", ["tree-default", "tree-random"])
     def test_tree_searches_verify(self, coloring, tmp_path, capsys):
         report = tmp_path / "search.json"
@@ -336,11 +411,13 @@ class TestCli:
         assert "VERIFIED" in capsys.readouterr().out
 
     def test_guard_names_match_flags(self, capsys):
-        # the delta3 block scan at top bit 22 trips the guard --guard-block-exponent raises
-        code = cli.main(["eval", "--coloring", "delta3", "--start", "6291456", "--end", "6291456"])
+        # C(10**6, 4) subsets trip the guard --guard-search-combinations raises,
+        # before the search does any work
+        code = cli.main(["search-mono", "--coloring", "popcount", "--bound", "1000000",
+                         "--size", "4"])
         assert code == 2
-        assert "guard 'block_exponent' exceeded" in capsys.readouterr().err
-        assert "block_exponent" in harness.Guards.__dataclass_fields__
+        assert "guard 'search_combinations' exceeded" in capsys.readouterr().err
+        assert "search_combinations" in harness.Guards.__dataclass_fields__
 
     def test_guard_override(self, capsys):
         code = cli.main([

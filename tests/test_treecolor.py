@@ -166,6 +166,17 @@ def test_large_exponent_quadratic_budget():
     assert counting.count <= 4 * 20 * 20
 
 
+def test_factored_exponent_limit():
+    # block-max requests nest the potential recursion one level per bit:
+    # the deepest accepted block still fits the stack, the next is refused
+    deepest = lift_tri(TriRequestFunction(lambda n, k, s: (1 << (n + 1)) - 1, "block max"))
+    s = treecolor.FACTORED_MAX_EXPONENT
+    assert isinstance(signed_count(deepest, (1 << (s + 1)) - 1), int)
+    with pytest.raises(GuardError) as failure:
+        signed_count(deepest, (1 << (s + 1)) + 1)
+    assert failure.value.guard == "factored_exponent"
+
+
 def test_memo_request_is_pure():
     memo = MemoRequest(random_request(4))
     first = [signed_count(memo, w) for w in range(32, 64)]
