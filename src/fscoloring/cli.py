@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config")
     p_eval.add_argument("--variant", default="instant")
     p_eval.add_argument("--out")
-    _add_guard_flags(p_eval)
 
     p_tree = commands.add_parser("tree", help="request-tree checks")
     tree_sub = p_tree.add_subparsers(dest="tree_command", required=True)

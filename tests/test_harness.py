@@ -427,6 +427,13 @@ class TestCli:
         assert code == 2
         assert "guard" in capsys.readouterr().err
 
+    def test_eval_takes_no_guard_flags(self, capsys):
+        # no guard bounds eval, so it offers no flag to raise one
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["eval", "--coloring", "popcount", "--end", "8", "--guard-horizon", "5"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --guard-horizon" in capsys.readouterr().err
+
     def test_config_file_flow(self, tmp_path):
         config = tmp_path / "catalog.json"
         harness.save_config(config, harness.default_config("delta3", "delayed"))
