@@ -133,9 +133,8 @@ def request_function(family: Delta3Family) -> RequestFunction:
 def coloring(family: Delta3Family):
     """The two-coloring induced by the family's request function, total on
     positives (see treecolor.tree_coloring)."""
-    color = tree_coloring(request_function(family))
-    color.description = "membership-killer coloring (%s)" % (family.description or "family")
-    return color
+    return tree_coloring(request_function(family), description="membership-killer coloring (%s)"
+                         % (family.description or "family"))
 
 
 def candidate_limit(family: Delta3Family, i: int,

@@ -17,9 +17,6 @@ read the oracles except inside witness finders.  Block queries (the
 least staged-in member of a block, the minimum count over a block) are
 answered from the descriptors, never by scanning the block, so they stay
 cheap at block exponents near 60.
-
-Evaluators are pure and fixtures immutable after construction, so all of
-this is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -414,10 +411,6 @@ class MonotoneFamily(SetFamily):
     def divergence_stage(self, i, x, y, target) -> int:
         """Stage from which non-member values are at least target."""
         return self.schedule.ramp_inverse(target)
-
-    def divergence_start(self, i, x) -> int:
-        """Least y from which non-member stage limits are infinite."""
-        return 0
 
     def block_limit(self, i, n, y) -> Optional[int]:
         """Stage limit of the block minimum; None when the block is empty."""

@@ -25,7 +25,8 @@ from .families import (  # default_config is re-exported for callers of harness
     Delta3Family, MonotoneFamily, build_family, default_config, validate_family,
 )
 from .treecolor import (
-    color_mod, default_request, popcount_coloring, random_request, tree_coloring, tree_edges,
+    TreeColoring, default_request, popcount_coloring, random_request, signed_counts,
+    tree_coloring, tree_edges,
 )
 
 
@@ -422,6 +423,8 @@ def build_stream(spec: dict):
 def eval_table(coloring_spec: dict, start: int, end: int, *,
                out: Optional[str] = None) -> dict:
     color, arity = build_coloring(coloring_spec)
+    ws = range(start, end + 1)
+    colors = color.table(ws) if isinstance(color, TreeColoring) else map(color, ws)
     payload = {
         "report": "eval-table",
         "coloring": coloring_spec,
@@ -429,8 +432,8 @@ def eval_table(coloring_spec: dict, start: int, end: int, *,
         "start": str(start),
         "end": str(end),
         "values": [
-            {"w": str(w), "color": [str(c) for c in color_tuple(color(w))]}
-            for w in range(start, end + 1)
+            {"w": str(w), "color": [str(c) for c in color_tuple(value)]}
+            for w, value in zip(ws, colors)
         ],
     }
     return _written(payload, out)
@@ -475,14 +478,14 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
             if tree.problems():
                 edge_failures += 1
         if contract:
+            # every request edge steps the signed count by one
             request = random_request(seed)
-            for w in range(1 << s, 1 << (s + 1)):
-                for n in range(low_bit(w)):
-                    target = w + request(n, w)
-                    for modulus in moduli:
-                        expected = (color_mod(request, w, modulus) + 1) % modulus
-                        if color_mod(request, target, modulus) != expected:
-                            contract_failures += 1
+            counts = signed_counts(request, range(1 << s, 1 << (s + 1)))
+            steps = [counts[w + request(n, w)] - counts[w] for w in counts for n in range(low_bit(w))]
+            for modulus in moduli:
+                if modulus < 2:
+                    raise ValueError("modulus must be at least 2, got %r" % (modulus,))
+                contract_failures += sum(1 for step in steps if (step - 1) % modulus)
         results.append(
             {
                 "exponent": str(s),

@@ -13,8 +13,7 @@ fixture is requested exactly at its own block member; the induced
 two-coloring then separates two finite sums of the fixture.
 
 The staged index table is memoized per family; recomputation yields
-identical values, so caches are observationally pure and parameter sweeps
-parallelize freely.
+identical values, so caches are observationally pure.
 """
 
 from __future__ import annotations
@@ -179,9 +178,8 @@ def request_function(family) -> RequestFunction:
 def coloring(family):
     """The two-coloring induced by the synthesized request function, total on
     positives (see treecolor.tree_coloring)."""
-    color = tree_coloring(request_function(family))
-    color.description = "count-killer coloring (%s)" % (family.description or "family")
-    return color
+    return tree_coloring(request_function(family), description="count-killer coloring (%s)"
+                         % (family.description or "family"))
 
 
 def stable_index(family, n) -> Optional[int]:

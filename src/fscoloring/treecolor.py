@@ -7,15 +7,16 @@ n below its lowest bit.  That graph is always a tree, so counting signed
 edge crossings along the unique path from the block root 2**s yields a
 coloring c with c(w + R(n, w)) == c(w) + 1 (mod r) for every request.
 
-signed_count / color_mod evaluate colorings without materializing trees.
-For requests factored through (level, low bit, top bit) -- the class the
-limit constructions produce -- a table of base-increment potentials gives
-the value with at most s*(s+1)/2 + s request evaluations in the block at
-exponent s, which keeps exponents near 60 feasible.  Arbitrary requests
-fall back to a target-splitting recursion whose cost grows with the digit
-weight of the bridge endpoints it meets; it is exact at any size but
-intended for small exponents.  color_mod_bfs materializes the whole tree
-and is the reference oracle both evaluators are validated against.
+signed_counts evaluates colorings without materializing trees, one block
+at a time, with at most one request evaluation per bridge: 2**s - 1 for a
+whole block at exponent s.  For requests factored through (level, low
+bit, top bit) -- the class the limit constructions produce -- a table of
+base-increment potentials per block needs at most s*(s+1)/2, which keeps
+exponents near 60 feasible.  Arbitrary requests fall back to a
+target-splitting recursion whose cost grows with the digit weight of the
+bridge endpoints it meets; it is exact at any size but intended for small
+exponents.  color_mod_bfs materializes the whole tree and is the
+reference oracle both evaluators are validated against.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Callable, Dict, Tuple
 from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards
 
-#: Largest top bit the factored evaluator accepts.  Its potential
-#: recursion nests one call per bit level, so deeper blocks would exhaust
+#: Largest top bits the factored and the generic evaluator accept.  Both
+#: recursions nest one call per bit level, so deeper blocks would exhaust
 #: the interpreter's stack.
-FACTORED_MAX_EXPONENT = 512
+FACTORED_MAX_EXPONENT = GENERIC_MAX_EXPONENT = 512
 
 _MASK64 = (1 << 64) - 1
 
@@ -182,11 +183,7 @@ class CountingTriRequest:
 
 
 class MemoRequest:
-    """Observationally pure memo wrapper shared across evaluations.
-
-    Safe under the usual dict discipline: concurrent reads, idempotent
-    single-key writes; results never depend on interleaving.
-    """
+    """Observationally pure memo wrapper shared across evaluations."""
 
     def __init__(self, inner: RequestFunction):
         self.inner = inner
@@ -287,24 +284,34 @@ def bridge(w: int, n: int, request: Callable[[int, int], int]) -> tuple:
     return (w, w + request(n, w))
 
 
-def signed_count(request: Callable[[int, int], int], w: int) -> int:
-    """Signed edge count from the block root 2**top_bit(w) to w.
+def signed_counts(request: Callable[[int, int], int], ws) -> dict:
+    """{w: signed edge count from the block root 2**top_bit(w) to w} for ws.
 
     Every edge is oriented from w' to w' + R(n', w'); traversals along the
-    orientation count +1 and against it -1.  Requests carrying a factored
-    core (see lift_tri) are evaluated through the quadratic base-potential
-    table; anything else goes through the generic span recursion.  Request
-    evaluations are memoized for the duration of one call either way.
+    orientation count +1 and against it -1.  Each block is evaluated once
+    for all of its vertices in ws: through one base-potential table for
+    requests carrying a factored core (see lift_tri), through one span
+    recursion for anything else.
     """
-    if w < 2:
-        raise ValueError("colorable vertices start at 2, got %r" % (w,))
+    blocks: Dict[int, set] = {}
+    for w in ws:
+        if w < 2:
+            raise ValueError("colorable vertices start at 2, got %r" % (w,))
+        blocks.setdefault(top_bit(w), set()).add(w)
     tri = getattr(request, "tri", None)
-    if tri is not None:
-        return _signed_count_factored(tri, w)
-    return _signed_count_generic(request, w)
+    counts = {}
+    for s, targets in blocks.items():
+        counts.update(_factored_counts(tri, s, targets) if tri is not None
+                      else _generic_counts(request, s, targets))
+    return counts
 
 
-def _signed_count_factored(tri, w: int) -> int:
+def signed_count(request: Callable[[int, int], int], w: int) -> int:
+    """Signed edge count from the block root 2**top_bit(w) to w."""
+    return signed_counts(request, (w,))[w]
+
+
+def _factored_counts(tri, s: int, targets) -> dict:
     # Signed counts are potential differences Phi on the block tree, and
     # every bridge satisfies Phi(base + R(level, base)) = Phi(base) + 1.
     # Walking the bridge endpoint's offset bits expresses the potential
@@ -314,7 +321,6 @@ def _signed_count_factored(tri, w: int) -> int:
     # which depends on the base only through its low bit when the request
     # is factored.  The table has at most s*(s+1)/2 entries, one request
     # evaluation each, and Phi(w) telescopes over w's own set bits.
-    s = top_bit(w)
     if s > FACTORED_MAX_EXPONENT:
         raise GuardError("factored_exponent", FACTORED_MAX_EXPONENT, s)
     table: Dict[Tuple[int, int], int] = {}
@@ -334,38 +340,28 @@ def _signed_count_factored(tri, w: int) -> int:
         table[key] = value
         return value
 
-    total = 0
-    low = s
-    for j in range(s - 1, -1, -1):
-        if (w >> j) & 1:
-            total += delta(low, j)
-            low = j
-    return total
+    counts = {}
+    for w in targets:
+        total, low = 0, s
+        for j in range(s - 1, -1, -1):
+            if (w >> j) & 1:
+                total += delta(low, j)
+                low = j
+        counts[w] = total
+    return counts
 
 
-def _signed_count_generic(request, w: int) -> int:
-    s = top_bit(w)
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def req(n, base):
-        key = (n, base)
-        value = memo.get(key)
-        if value is None:
-            value = request(n, base)
-            memo[key] = value
-        return value
+def _generic_counts(request, s: int, targets) -> dict:
+    if s > GENERIC_MAX_EXPONENT:
+        raise GuardError("generic_exponent", GENERIC_MAX_EXPONENT, s)
 
     def potentials(base, level, targets):
         # Signed counts from `base` to each target inside the aligned
         # span [base, base + 2**(level+1)); base has all bits below
-        # level+1 clear, so it is the span's own tree anchor.
-        out = {}
-        pending = []
-        for t in targets:
-            if t == base:
-                out[t] = 0
-            else:
-                pending.append(t)
+        # level+1 clear, so it is the span's own tree anchor.  Each span
+        # is visited at most once, so each bridge is requested at most once.
+        out = {t: 0 for t in targets if t == base}
+        pending = [t for t in targets if t != base]
         if not pending:
             return out
         assert level >= 0, "targets escaped their span"
@@ -375,14 +371,14 @@ def _signed_count_generic(request, w: int) -> int:
         if lows:
             out.update(potentials(base, level - 1, lows))
         if highs:
-            high_entry = base + req(level, base)
+            high_entry = base + request(level, base)
             sub = potentials(base + half, level - 1, set(highs) | {high_entry})
             shift = 1 - sub[high_entry]
             for t in highs:
                 out[t] = sub[t] + shift
         return out
 
-    return potentials(1 << s, s - 1, {w})[w]
+    return potentials(1 << s, s - 1, targets)
 
 
 def color_mod(request: Callable[[int, int], int], w: int, modulus: int) -> int:
@@ -401,19 +397,33 @@ def color_parity(request: Callable[[int, int], int], w: int) -> int:
     return color_mod(request, w, 2)
 
 
-def tree_coloring(request: Callable[[int, int], int], modulus: int = 2):
+@dataclass(frozen=True)
+class TreeColoring:
     """color_mod as a one-argument coloring, total on the positive integers.
 
     1 is the root of its own one-vertex block, so it gets color 0 like
     every block root; color_mod itself starts at 2.
     """
+
+    request: Callable[[int, int], int]
+    modulus: int = 2
+    description: str = "tree coloring"
+
+    def __call__(self, w: int) -> int:
+        return 0 if w == 1 else color_mod(self.request, w, self.modulus)
+
+    def table(self, ws) -> list:
+        """The colors of the sequence ws, in order, block by block."""
+        counts = signed_counts(self.request, [w for w in ws if w != 1])
+        return [0 if w == 1 else counts[w] % self.modulus for w in ws]
+
+
+def tree_coloring(request: Callable[[int, int], int], modulus: int = 2,
+                  description: str = "tree coloring") -> TreeColoring:
+    """The request-tree coloring mod modulus of every positive integer."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2, got %r" % (modulus,))
-
-    def color(w):
-        return 0 if w == 1 else color_mod(request, w, modulus)
-
-    return color
+    return TreeColoring(request, modulus, description)
 
 
 def signed_counts_table(tree: BlockTree) -> dict:

@@ -369,6 +369,13 @@ class TestCli:
         assert cli.main(["eval", "--coloring", "delta3", "--start", str(w), "--end", str(w)]) == 2
         assert "guard 'factored_exponent' exceeded" in capsys.readouterr().err
 
+    def test_tree_eval_beyond_generic_limit(self, capsys):
+        # the generic span recursion nests one call per bit, like the factored one
+        w = (1 << 1200) + (1 << 1199) + 1
+        assert cli.main(["eval", "--coloring", "tree-default", "--start", str(w),
+                         "--end", str(w)]) == 2
+        assert "guard 'generic_exponent' exceeded" in capsys.readouterr().err
+
     def test_verify_rejects_oversized_spread_fast(self, tmp_path):
         # a pi3 report claiming exponent 30 with a three-element chain must
         # fail on the spread's shape, not build 2**30 suffix sums first

@@ -22,7 +22,9 @@ from fscoloring.treecolor import (
     random_request,
     random_tri_request,
     signed_count,
+    signed_counts,
     signed_counts_table,
+    tree_coloring,
     tree_edges,
 )
 
@@ -175,6 +177,77 @@ def test_factored_exponent_limit():
     with pytest.raises(GuardError) as failure:
         signed_count(deepest, (1 << (s + 1)) + 1)
     assert failure.value.guard == "factored_exponent"
+
+
+BATCH_REQUESTS = {
+    "random": random_request(21),
+    "default": default_request(),
+    "lifted tri": lift_tri(random_tri_request(22)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_REQUESTS))
+def test_signed_counts_match_bfs_on_full_blocks(name):
+    request = BATCH_REQUESTS[name]
+    for s in range(1, 11):
+        block = range(1 << s, 1 << (s + 1))
+        assert signed_counts(request, block) == signed_counts_table(tree_edges(s, request))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_REQUESTS))
+def test_signed_counts_mixed_blocks_and_duplicates(name):
+    request = BATCH_REQUESTS[name]
+    ws = [700, 5, 40, 5, 1023, 2, 700, 3, 1 << 40, 41, (1 << 40) + 12345]
+    counts = signed_counts(request, ws)
+    assert set(counts) == set(ws)
+    for w in ws:
+        assert counts[w] == signed_count(request, w)
+    for w in (2, 3, 5, 40, 41, 700, 1023):
+        assert counts[w] == signed_counts_table(tree_edges(top_bit(w), request))[w]
+    assert signed_counts(request, []) == {}
+
+
+def test_signed_counts_rejects_small_vertices():
+    for ws in ([4, 1], [0], [8, -3, 9]):
+        with pytest.raises(ValueError):
+            signed_counts(random_request(1), ws)
+
+
+def test_full_block_requests_each_bridge_once():
+    # a block at exponent s has 2**s - 1 bridges; vertex by vertex the
+    # generic recursion requests them 22,992 times at s = 10
+    s = 10
+    counting = CountingRequest(random_request(3))
+    signed_counts(counting, range(1 << s, 1 << (s + 1)))
+    assert counting.count <= (1 << s) - 1
+    counting_tri = CountingTriRequest(random_tri_request(3))
+    signed_counts(lift_tri(TriRequestFunction(counting_tri, "counted")),
+                  range(1 << s, 1 << (s + 1)))
+    assert counting_tri.count <= s * (s + 1) // 2
+
+
+def test_generic_exponent_limit():
+    deepest = default_request()
+    s = treecolor.GENERIC_MAX_EXPONENT
+    assert isinstance(signed_count(deepest, (1 << (s + 1)) - 1), int)
+    with pytest.raises(GuardError) as failure:
+        signed_count(deepest, (1 << (s + 1)) + 1)
+    assert failure.value.guard == "generic_exponent"
+    with pytest.raises(GuardError):
+        signed_count(deepest, (1 << 1200) + (1 << 1199) + 1)
+
+
+def test_tree_coloring_table():
+    for request in BATCH_REQUESTS.values():
+        color = tree_coloring(request, 5, description="checked")
+        ws = [1, 2, 9, 9, 300, 1 << 30]
+        assert color.table(ws) == [color(w) for w in ws]
+        assert color.table(ws)[0] == 0
+        assert color.description == "checked"
+    with pytest.raises(ValueError):
+        tree_coloring(default_request(), 1)
+    with pytest.raises(ValueError):
+        tree_coloring(default_request()).table([3, 0])
 
 
 def test_memo_request_is_pure():
