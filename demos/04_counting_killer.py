@@ -15,19 +15,16 @@ Run with:  python demos/04_counting_killer.py
 from fscoloring import monotone_catalog
 from fscoloring.families import SetSpec, monotone_from_sets
 from fscoloring.pi3 import (
+    Pi3Engine,
     build_chain,
-    coloring,
     distinct_requests,
     find_witness,
     guess_bound,
     guess_element,
-    q_fn,
-    request,
-    stable_index,
-    stage_index,
 )
 
 family = monotone_catalog("instant")
+engine = Pi3Engine(family)  # one run's stage table and stable indices
 print("Counting fixtures, same catalog sets as the membership side.")
 print("Guess machinery on family 0 (odd power exponents):")
 print("  guess over block 1 at stages (4, 5): element %d, bound %d"
@@ -38,32 +35,32 @@ print("  guess over the empty block 2: element %d, bound %d"
 print()
 print("Priority indices per exponent (staged at (y=8, k=9, s=12) vs limit):")
 for n in range(1, 7):
-    staged = stage_index(family, n, 8, 9, 12)
-    limit = stable_index(family, n)
+    staged = engine.stage_index(n, 8, 9, 12)
+    limit = engine.stable_index(n)
     print("  exponent %d: staged %r, limit %r" % (n, staged, limit))
 
 print()
 print("Guess requests live in the block named by their first argument:")
 print("  Q_1(3, 5, 7) = %d, off-domain Q_1(1, 5, 7) = %d"
-      % (q_fn(family, 1, 3, 5, 7), q_fn(family, 1, 1, 5, 7)))
+      % (engine.q(1, 3, 5, 7), engine.q(1, 1, 5, 7)))
 
 print()
 print("Synthesized requests via the mod-2^n base count:")
 print("  R(1, 32) = %d (block roots count zero), R(1, 40) = %d"
-      % (request(family, 1, 32), request(family, 1, 40)))
+      % (engine.request(1, 32), engine.request(1, 40)))
 
 print()
 print("A settled chain and its request spread at exponent 1:")
-chain = build_chain(family, 0, 1, 3, 1)
+chain = build_chain(engine, 0, 1, 3, 1)
 print("  chain: %r (final stage %d)" % (chain.elements, chain.final_stage))
-spread = distinct_requests(family, 0, 1)
+spread = distinct_requests(engine, 0, 1)
 for w, value in spread.pairs():
     print("  suffix sum %5d requested at %d" % (w, value))
 
 print()
 print("A deeper fixture stabilizes at exponent 3 and exhausts its block:")
 deep = monotone_from_sets([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
-spread = distinct_requests(deep, 0, 3)
+spread = distinct_requests(Pi3Engine(deep), 0, 3)
 print("  chain of %d members up to 2^%d; request values %r"
       % (len(spread.chain.elements), spread.chain.final_stage, sorted(spread.requests)))
 
@@ -76,7 +73,6 @@ for name, fam, index in (
     ("deep/0", deep, 0),
 ):
     witness = find_witness(fam, index)
-    color = coloring(fam)
     print("  %-10s exponent %d, x=%d, w=%d, colors %d vs %d"
           % (name, witness.block_exponent, witness.x, witness.w,
              witness.color_w, witness.color_w_plus_x))

@@ -86,37 +86,34 @@ def extract_apart(stream: Iterable[int]) -> Iterator[ExtractionCertificate]:
     two share a residue mod 2**(top_bit(b)+1); the enclosed run sums to a
     multiple of that power, which forces its low bit above top_bit(b).
     The pigeonhole bounds the scan by 2**(top_bit(b)+1) + 1 prefix sums,
-    so each output consumes a finite prefix.
+    so each output consumes a finite prefix.  A finite stream ends the
+    sequence when it runs out.
     """
     source = iter(stream)
-    position = 0
-
-    def take():
-        nonlocal position
-        value = next(source)
-        position += 1
-        return value
-
-    first = take()
-    previous = first
+    first = next(source, None)
+    if first is None:
+        return
     yield ExtractionCertificate(value=first, block=(first,), first_index=0)
+    previous, position = first, 1
     while True:
         modulus = 1 << (top_bit(previous) + 1)
         start = position
         window = []
         prefix = 0
         seen = {0: 0}  # residue -> number of elements summed
-        while True:
-            window.append(take())
-            prefix += window[-1]
+        for element in source:
+            position += 1
+            window.append(element)
+            prefix += element
             residue = prefix % modulus
             if residue in seen:
                 offset = seen[residue]
                 block = tuple(window[offset:])
-                value = sum(block)
+                previous = sum(block)
                 yield ExtractionCertificate(
-                    value=value, block=block, first_index=start + offset
+                    value=previous, block=block, first_index=start + offset
                 )
-                previous = value
                 break
             seen[residue] = len(window)
+        else:
+            return

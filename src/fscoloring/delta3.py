@@ -15,33 +15,13 @@ concrete fixtures and return fully re-verified reports.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from . import dyadic
 from .dyadic import finite_sums, low_bit, top_bit
 from .errors import Guards, VerificationError, WitnessSearchError
 from .families import Delta3Family
-from .treecolor import RequestFunction, TriRequestFunction, block_max, lift_tri, tree_coloring
-
-_engines = weakref.WeakKeyDictionary()
-
-
-class _Engine:
-    """Per-family memo store; observationally pure."""
-
-    def __init__(self, family):
-        self.family = family
-        self.candidates = {}
-        self.requests = {}
-
-
-def _engine(family) -> _Engine:
-    engine = _engines.get(family)
-    if engine is None:
-        engine = _Engine(family)
-        _engines[family] = engine
-    return engine
+from .treecolor import TriRequestFunction, block_max, lift_tri, tree_coloring
 
 
 def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int) -> int:
@@ -65,11 +45,6 @@ class CandidateSet:
 def candidate_set(family: Delta3Family, i: int, k: int, s: int) -> CandidateSet:
     """Collect up to 2**i exponents n in the open interval (i, s) whose
     block currently looks inhabited by family i."""
-    engine = _engine(family)
-    key = (i, k, s)
-    cached = engine.candidates.get(key)
-    if cached is not None:
-        return cached
     quota = 1 << i
     members = []
     for n in range(i + 1, s):
@@ -77,9 +52,7 @@ def candidate_set(family: Delta3Family, i: int, k: int, s: int) -> CandidateSet:
             members.append(n)
             if len(members) == quota:
                 break
-    result = CandidateSet(index=i, k=k, s=s, members=tuple(members))
-    engine.candidates[key] = result
-    return result
+    return CandidateSet(index=i, k=k, s=s, members=tuple(members))
 
 
 def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int) -> int:
@@ -98,17 +71,8 @@ def chooser(family: Delta3Family, n: int, w: int) -> int:
 
 def request_at_stages(family: Delta3Family, n: int, k: int, s: int) -> int:
     """The request value at explicit stage parameters (k, s)."""
-    engine = _engine(family)
-    key = (n, k, s)
-    cached = engine.requests.get(key)
-    if cached is not None:
-        return cached
-    j = chooser_at_stages(family, n, k, s)
-    value = family.block_first(j, n, k, s)
-    if value is None:
-        value = block_max(n)
-    engine.requests[key] = value
-    return value
+    value = family.block_first(chooser_at_stages(family, n, k, s), n, k, s)
+    return block_max(n) if value is None else value
 
 
 def request(family: Delta3Family, n: int, w: int) -> int:
@@ -122,19 +86,13 @@ def request(family: Delta3Family, n: int, w: int) -> int:
     return request_at_stages(family, n, low_bit(w), top_bit(w))
 
 
-def request_function(family: Delta3Family) -> RequestFunction:
-    tri = TriRequestFunction(
-        lambda n, k, s: request_at_stages(family, n, k, s),
-        description="staged-membership request (%s)" % (family.description or "family"),
-    )
-    return lift_tri(tri)
-
-
 def coloring(family: Delta3Family):
     """The two-coloring induced by the family's request function, total on
     positives (see treecolor.tree_coloring)."""
-    return tree_coloring(request_function(family), description="membership-killer coloring (%s)"
-                         % (family.description or "family"))
+    name = family.description or "family"
+    tri = TriRequestFunction(lambda n, k, s: request_at_stages(family, n, k, s),
+                             description="staged-membership request (%s)" % name)
+    return tree_coloring(lift_tri(tri), description="membership-killer coloring (%s)" % name)
 
 
 def candidate_limit(family: Delta3Family, i: int,
@@ -215,20 +173,19 @@ class Delta3Witness:
 def verify_witness(family: Delta3Family, witness: Delta3Witness) -> None:
     """Recompute every claim in a witness from scratch.
 
-    Uses a fresh request engine so no memoized state from the search is
-    trusted; raises VerificationError on the first disagreement.
+    Every function here is pure in the family, so nothing computed by the
+    search is reused; raises VerificationError on the first disagreement.
     """
-    fresh = Delta3Family(family.sets, family.delay, description=family.description)
     x, w1, w2 = witness.x, witness.w1, witness.w2
     for value in (x, w1, w2):
-        if not fresh.truth(witness.index, value):
+        if not family.truth(witness.index, value):
             raise VerificationError("%d is not a member of fixture %d" % (value, witness.index))
     if not (dyadic.apart(x, w1) and dyadic.apart(w1, w2)):
         raise VerificationError("witness elements are not pairwise apart")
     w = w1 + w2
-    if request(fresh, top_bit(x), w) != x:
+    if request(family, top_bit(x), w) != x:
         raise VerificationError("request at (%d, %d) does not return x=%d" % (top_bit(x), w, x))
-    color = coloring(fresh)
+    color = coloring(family)
     c1, c2 = color(w), color(w + x)
     if (c1, c2) != (witness.color_sum, witness.color_sum_with_x):
         raise VerificationError("recomputed colors (%d, %d) differ from report" % (c1, c2))

@@ -604,13 +604,19 @@ def build_family(config: dict):
     category: membership kinds (instant/delayed) or the counting kind
     (monotone); mixing categories has no semantics and is rejected.
     """
+    if not isinstance(config, dict):
+        raise FixtureError("a config must be an object, got %s" % type(config).__name__)
     catalog = config.get("catalog")
     entries = config.get("families")
     if catalog not in ("delta3", "pi3"):
         raise FixtureError("config catalog must be 'delta3' or 'pi3', got %r" % (catalog,))
     if not entries:
         raise FixtureError("config declares no families")
+    if not isinstance(entries, list):
+        raise FixtureError("config families must be a list, got %s" % type(entries).__name__)
     for position, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("set"), dict)):
+            raise FixtureError("family entry %d and its set must be objects" % position)
         if int(entry.get("index", position)) != position:
             raise FixtureError("family indices must be dense from 0")
     sets = [SetSpec.from_payload(entry["set"]) for entry in entries]

@@ -380,12 +380,11 @@ def _killer_kill(certificate):
 
 
 def run_extraction(stream_spec: dict, count: int, *, out: Optional[str] = None) -> dict:
-    outputs = []
-    stream = build_stream(stream_spec)
-    for certificate in apartness.extract_apart(stream):
-        outputs.append(certificate)
-        if len(outputs) == count:
-            break
+    outputs = list(itertools.islice(apartness.extract_apart(build_stream(stream_spec)), count))
+    if len(outputs) < count:
+        raise FixtureError(
+            "the stream ended after %d of %d extraction outputs" % (len(outputs), count)
+        )
     payload = {
         "report": "extraction",
         "claim": (
@@ -575,7 +574,7 @@ def _verify_pi3(payload, guards):
     _check_certificate(
         family, witness.index, payload["certificates"]["w_plus_x"], witness.w + witness.x
     )
-    pi3.verify_witness(family, witness)
+    pi3.verify_witness(family, witness, chain_bits=guards.chain_bits)
     return ["witness (n=%d, x=%d, w=%d) re-verified" % (witness.block_exponent, witness.x, witness.w)]
 
 

@@ -12,25 +12,20 @@ makes the suffix sums realize every base count, so some finite sum of the
 fixture is requested exactly at its own block member; the induced
 two-coloring then separates two finite sums of the fixture.
 
-The staged index table is memoized per family; recomputation yields
-identical values, so caches are observationally pure.
+Each run builds one Pi3Engine, which holds the construction's only
+memos: the staged index table and the stable indices.  Recomputation
+yields identical values, so the memos are observationally pure.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import dyadic
 from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards, VerificationError, WitnessSearchError
-from .treecolor import (
-    RequestFunction, TriRequestFunction, color_mod, color_parity, lift_tri, tree_coloring,
-)
-
-_MISSING = object()
-_engines = weakref.WeakKeyDictionary()
+from .treecolor import RequestFunction, TriRequestFunction, color_mod, lift_tri, tree_coloring
 
 
 def guess_bound(family, i, n, y, s) -> int:
@@ -43,184 +38,124 @@ def guess_element(family, i, n, y, s) -> int:
     return family.block_min(i, n, y, s)[1]
 
 
-class StageTable:
-    """Memoized priority indices over the domain 0 < n < y <= k <= s.
+class Pi3Engine:
+    """One run's request synthesizer over a monotone family.
 
-    index(n, y, k, s) is the least family index below n whose block bound
-    sits below k and which no smaller exponent of the same column has
-    claimed; None encodes "no index".  Columns are filled in increasing n,
-    so the exclusion clause always refers to already-fixed entries.
+    Holds the staged priority table, keyed (n, y, k, s), and the stable
+    (limit) index of each exponent.  Requests are served at every exponent
+    up to chain_bits, not only at the witness's block exponent: full
+    colorings query requests at every level below the vertex's top bit,
+    and the modulus 2**n stays cheap because guesses read block minima
+    from the family's set descriptors (MonotoneFamily.block_min), never
+    scanning a block.
     """
 
-    def __init__(self, family):
+    def __init__(self, family, chain_bits=Guards.chain_bits):
         self.family = family
-        self._table = {}
-        self._bounds = {}
+        self.chain_bits = chain_bits
+        self.table = {}
+        self.stable = {}
 
-    def bound(self, i, n, y, s) -> int:
-        key = (i, n, y, s)
-        value = self._bounds.get(key)
-        if value is None:
-            value = guess_bound(self.family, i, n, y, s)
-            self._bounds[key] = value
-        return value
+    def stage_index(self, n, y, k, s) -> Optional[int]:
+        """Priority index over the domain 0 < n < y <= k <= s.
 
-    def index(self, n, y, k, s) -> Optional[int]:
+        The least family index below n whose block bound sits below k and
+        which no smaller exponent of the same column has claimed; None
+        encodes "no index".  Columns are filled in increasing n, so the
+        exclusion clause always refers to already-fixed entries.
+        """
         if not (0 < n < y <= k <= s):
             raise ValueError(
                 "stage index needs 0 < n < y <= k <= s, got (n=%r, y=%r, k=%r, s=%r)"
                 % (n, y, k, s)
             )
-        cached = self._table.get((n, y, k, s), _MISSING)
-        if cached is not _MISSING:
-            return cached
-        taken = set()
-        result = None
-        for m in range(1, n + 1):
-            mkey = (m, y, k, s)
-            value = self._table.get(mkey, _MISSING)
-            if value is _MISSING:
-                value = None
-                for i in range(m):
-                    if i not in taken and self.bound(i, m, y, s) < k:
-                        value = i
-                        break
-                self._table[mkey] = value
-            if value is not None:
-                taken.add(value)
-            if m == n:
-                result = value
-        return result
+        if (n, y, k, s) not in self.table:
+            taken = set()
+            for m in range(1, n + 1):
+                key = (m, y, k, s)
+                if key not in self.table:
+                    self.table[key] = next(
+                        (i for i in range(m)
+                         if i not in taken and guess_bound(self.family, i, m, y, s) < k),
+                        None,
+                    )
+                if self.table[key] is not None:
+                    taken.add(self.table[key])
+        return self.table[(n, y, k, s)]
 
+    def stable_index(self, n) -> Optional[int]:
+        """Limit priority index at exponent n, computed from truth.
 
-class Pi3Engine:
-    """Per-family request synthesizer with shared memo tables."""
-
-    # The request evaluator serves every exponent up to the chain bit guard,
-    # not only the witness search's request_exponent: full colorings query
-    # requests at every level below the vertex's top bit, and the modulus
-    # 2**n stays cheap because guesses read block minima from the family's
-    # set descriptors (MonotoneFamily.block_min), never scanning a block.
-    def __init__(self, family, max_request_exponent=Guards.chain_bits):
-        self.family = family
-        self.max_request_exponent = max_request_exponent
-        self.table = StageTable(family)
-        self._tris = {}
-        self._base_counts = {}
+        The recurrence assigns to each exponent the least family index whose
+        truth set meets the block and which no smaller exponent has already
+        taken.
+        """
+        if n < 1:
+            raise ValueError("exponents start at 1, got %r" % (n,))
+        if n not in self.stable:
+            taken = set()
+            for m in range(1, n + 1):
+                if m not in self.stable:
+                    self.stable[m] = next(
+                        (i for i in range(min(m, self.family.count))
+                         if i not in taken and self.family.block_members(i, m)),
+                        None,
+                    )
+                if self.stable[m] is not None:
+                    taken.add(self.stable[m])
+        return self.stable[n]
 
     def q(self, n, y, k, s) -> int:
         """The guess request: chosen family's guess element of the block at
         exponent y with parameters (k, s); 2**y off the staged domain or
         when no family is chosen."""
         if 0 < n < y <= k <= s:
-            j = self.table.index(n, y, k, s)
+            j = self.stage_index(n, y, k, s)
             if j is not None:
                 return guess_element(self.family, j, y, k, s)
         return 1 << y
 
-    def tri(self, n) -> TriRequestFunction:
-        cached = self._tris.get(n)
-        if cached is None:
-            cached = TriRequestFunction(
-                lambda y, k, s: self.q(n, y, k, s),
-                description="guess request at exponent %d" % n,
-            )
-            self._tris[n] = cached
-        return cached
-
     def base_count(self, n, w) -> int:
         """Coloring of w in Z_{2**n} under the n-th guess request."""
-        key = (n, w)
-        value = self._base_counts.get(key)
-        if value is None:
-            value = color_mod(lift_tri(self.tri(n)), w, 1 << n)
-            self._base_counts[key] = value
-        return value
+        tri = TriRequestFunction(lambda y, k, s: self.q(n, y, k, s),
+                                 description="guess request at exponent %d" % n)
+        return color_mod(lift_tri(tri), w, 1 << n)
 
     def request(self, n, w) -> int:
         if n >= low_bit(w):
             raise ValueError("request needs n < low_bit(w)")
         if n == 0:
             return 1
-        if n > self.max_request_exponent:
-            raise GuardError("request_exponent", self.max_request_exponent, n)
+        if n > self.chain_bits:
+            raise GuardError("chain_bits", self.chain_bits, n)
         return (1 << n) + self.base_count(n, w)
 
-
-def _engine(family) -> Pi3Engine:
-    engine = _engines.get(family)
-    if engine is None:
-        engine = Pi3Engine(family)
-        _engines[family] = engine
-    return engine
-
-
-def stage_index(family, n, y, k, s) -> Optional[int]:
-    return _engine(family).table.index(n, y, k, s)
-
-
-def q_fn(family, n, y, k, s) -> int:
-    return _engine(family).q(n, y, k, s)
+    def coloring(self):
+        """The two-coloring induced by the synthesized request function,
+        total on positives (see treecolor.tree_coloring)."""
+        name = self.family.description or "family"
+        request = RequestFunction(self.request, description="staged-count request (%s)" % name)
+        return tree_coloring(request, description="count-killer coloring (%s)" % name)
 
 
 def request(family, n, w) -> int:
-    return _engine(family).request(n, w)
-
-
-def request_function(family) -> RequestFunction:
-    engine = _engine(family)
-    return RequestFunction(
-        engine.request,
-        description="staged-count request (%s)" % (family.description or "family"),
-    )
+    """R(n, w) from a fresh engine."""
+    return Pi3Engine(family).request(n, w)
 
 
 def coloring(family):
-    """The two-coloring induced by the synthesized request function, total on
-    positives (see treecolor.tree_coloring)."""
-    return tree_coloring(request_function(family), description="count-killer coloring (%s)"
-                         % (family.description or "family"))
+    """The family's count-killer coloring; it keeps one engine for its life."""
+    return Pi3Engine(family).coloring()
 
 
-def stable_index(family, n) -> Optional[int]:
-    """Limit priority index at exponent n, computed from truth.
-
-    The recurrence assigns to each exponent the least family index whose
-    truth set meets the block and which no smaller exponent has already
-    taken.
-    """
-    if n < 1:
-        raise ValueError("exponents start at 1, got %r" % (n,))
-    engine = _engine(family)
-    stable = getattr(engine, "_stable", None)
-    if stable is None:
-        stable = engine._stable = {}
-    if n in stable:
-        return stable[n]
-    taken = set()
-    for m in range(1, n + 1):
-        if m in stable:
-            value = stable[m]
-        else:
-            value = None
-            for i in range(min(m, family.count)):
-                if i not in taken and family.block_members(i, m):
-                    value = i
-                    break
-            stable[m] = value
-        if value is not None:
-            taken.add(value)
-    return stable[n]
-
-
-def check_stage_settling(family, n, *, sample_offsets=(1, 3)) -> Optional[int]:
+def check_stage_settling(engine, n, *, sample_offsets=(1, 3)) -> Optional[int]:
     """Cross-check staged indices against the truth limit at exponent n.
 
     Samples columns beyond the settling bounds computed from the family's
     oracle; disagreement raises VerificationError.  Returns the limit.
     """
-    engine = _engine(family)
-    limit = stable_index(family, n)
+    family = engine.family
+    limit = engine.stable_index(n)
     for dy in sample_offsets:
         y = n + dy
         k_thr, need_ramp = _column_requirements(engine, n, y)
@@ -231,7 +166,7 @@ def check_stage_settling(family, n, *, sample_offsets=(1, 3)) -> Optional[int]:
                 s_floor = max(s_floor, family.divergence_stage(0, 1, y, k))
             for ds in sample_offsets:
                 s = s_floor + ds
-                staged = engine.table.index(n, y, k, s)
+                staged = engine.stage_index(n, y, k, s)
                 if staged != limit:
                     raise VerificationError(
                         "stage index at (n=%d, y=%d, k=%d, s=%d) is %r, limit is %r"
@@ -262,7 +197,7 @@ def _column_requirements(engine, n, y) -> Tuple[int, bool]:
                 need_ramp = True
             else:
                 k_thr = max(k_thr, limit + 1)
-        value = stable_index(family, m)
+        value = engine.stable_index(m)
         if value is not None:
             assigned.add(value)
     return k_thr, need_ramp
@@ -282,9 +217,9 @@ class Chain:
         return top_bit(self.elements[-1])
 
 
-def build_chain(family, i, n, count, floor, *, mode="oracle",
-                chain_bits=Guards.chain_bits) -> Chain:
-    """A chain of `count` fixture members, lowest bit above `floor`.
+def build_chain(engine, i, n, count, floor, *, mode="oracle") -> Chain:
+    """A chain of `count` fixture members below 2**engine.chain_bits,
+    lowest bit above `floor`.
 
     Oracle mode derives the needed bit gaps from the settling oracle and
     then confirms every link by direct evaluation; blind mode searches
@@ -293,11 +228,10 @@ def build_chain(family, i, n, count, floor, *, mode="oracle",
     """
     if count < 1:
         raise ValueError("chain length must be positive")
-    engine = _engine(family)
     if mode == "oracle":
-        elements = _oracle_chain(engine, i, n, count, floor, chain_bits)
+        elements = _oracle_chain(engine, i, n, count, floor)
     elif mode == "blind":
-        elements = _blind_chain(engine, i, n, count, floor, chain_bits)
+        elements = _blind_chain(engine, i, n, count, floor)
     else:
         raise ValueError("mode must be 'oracle' or 'blind', got %r" % (mode,))
     chain = Chain(index=i, block_exponent=n, elements=tuple(elements))
@@ -319,18 +253,18 @@ def _failing_link(engine, n, elements) -> Optional[int]:
     return None
 
 
-def _members_upto(family, i, chain_bits) -> list:
+def _members_upto(engine, i) -> list:
     out = []
-    for x in family.members(i):
-        if top_bit(x) > chain_bits:
+    for x in engine.family.members(i):
+        if top_bit(x) > engine.chain_bits:
             break
         out.append(x)
     return out
 
 
-def _oracle_chain(engine, i, n, count, floor, chain_bits):
-    family = engine.family
-    members = _members_upto(family, i, chain_bits)
+def _oracle_chain(engine, i, n, count, floor):
+    chain_bits = engine.chain_bits
+    members = _members_upto(engine, i)
     chain = []
     cursor = 0
 
@@ -390,9 +324,9 @@ def _required_final_stage(engine, i, n, chain) -> int:
     return needed
 
 
-def _blind_chain(engine, i, n, count, floor, chain_bits, retries=64):
-    family = engine.family
-    members = _members_upto(family, i, chain_bits)
+def _blind_chain(engine, i, n, count, floor, retries=64):
+    chain_bits = engine.chain_bits
+    members = _members_upto(engine, i)
     chain = []
     cursor = 0
     budget = retries
@@ -437,8 +371,7 @@ class RequestSpread:
         return tuple(zip(self.sums, self.requests))
 
 
-def distinct_requests(family, i, n, *, mode="oracle",
-                      chain_bits=Guards.chain_bits) -> RequestSpread:
+def distinct_requests(engine, i, n, *, mode="oracle") -> RequestSpread:
     """Realize every block member as a request value over fixture sums.
 
     Builds a chain of 2**n + 1 members and forms the suffix sums with at
@@ -448,9 +381,8 @@ def distinct_requests(family, i, n, *, mode="oracle",
     """
     if n < 1:
         raise ValueError("request spread needs a positive exponent")
-    engine = _engine(family)
     size = 1 << n
-    chain = build_chain(family, i, n, size + 1, n, mode=mode, chain_bits=chain_bits)
+    chain = build_chain(engine, i, n, size + 1, n, mode=mode)
     sums = tuple(sum(chain.elements[j:]) for j in range(size))
     for w in sums:
         if low_bit(w) <= n:
@@ -495,8 +427,10 @@ def find_witness(family, i, *, mode="oracle",
     Locates the exponent the fixture stabilizes at, spreads the request
     values over suffix sums, picks the sum requested at the unique block
     member, and separates its color from the sum plus that member.  The
-    result is re-verified from a fresh engine before being returned.
+    chain, the spread and the coloring share one engine; the result is
+    re-verified from a fresh engine before being returned.
     """
+    engine = Pi3Engine(family, chain_bits)
     ok, certificate = family.weak_apart_on(i, min(horizon, chain_bits))
     if not ok:
         raise WitnessSearchError(
@@ -505,7 +439,7 @@ def find_witness(family, i, *, mode="oracle",
         )
     n = None
     for candidate in range(1, max_request_exponent + 1):
-        if stable_index(family, candidate) == i:
+        if engine.stable_index(candidate) == i:
             n = candidate
             break
     if n is None:
@@ -513,7 +447,7 @@ def find_witness(family, i, *, mode="oracle",
             "fixture %d claims no exponent up to %d" % (i, max_request_exponent),
             bound=max_request_exponent, quantifier="stable block exponent",
         )
-    spread = distinct_requests(family, i, n, mode=mode, chain_bits=chain_bits)
+    spread = distinct_requests(engine, i, n, mode=mode)
     block_members = family.block_members(i, n)
     if len(block_members) != 1:
         raise VerificationError(
@@ -528,7 +462,7 @@ def find_witness(family, i, *, mode="oracle",
             break
     if w is None:
         raise VerificationError("no suffix sum is requested at %d" % x)
-    color = coloring(family)
+    color = engine.coloring()
     witness = Pi3Witness(
         index=i, block_exponent=n, x=x, w=w,
         color_w=color(w), color_w_plus_x=color(w + x),
@@ -536,13 +470,13 @@ def find_witness(family, i, *, mode="oracle",
         mode=mode,
         bookkeeping={"final_stage": spread.chain.final_stage},
     )
-    verify_witness(family, witness)
+    verify_witness(family, witness, chain_bits=chain_bits)
     return witness
 
 
-def verify_witness(family, witness: Pi3Witness) -> None:
+def verify_witness(family, witness: Pi3Witness, *, chain_bits=Guards.chain_bits) -> None:
     """Recompute every claim in a witness from a fresh engine."""
-    engine = Pi3Engine(family)
+    engine = Pi3Engine(family, chain_bits)
     i, n = witness.index, witness.block_exponent
     # Check the spread's shape before any work that grows with 2**n.
     size = len(witness.sums)
@@ -553,7 +487,7 @@ def verify_witness(family, witness: Pi3Witness) -> None:
             "a spread of %d sums needs %d chain elements and %d requests, found %d and %d"
             % (size, size + 1, size, len(witness.chain), len(witness.requests))
         )
-    if stable_index(family, n) != i:
+    if engine.stable_index(n) != i:
         raise VerificationError("exponent %d is not stable for fixture %d" % (n, i))
     for x in witness.chain:
         if not family.truth(i, x):
@@ -576,8 +510,8 @@ def verify_witness(family, witness: Pi3Witness) -> None:
         raise VerificationError("w is not requested at x")
     if low_bit(witness.w) <= n:
         raise VerificationError("w has low bit at or below the block exponent")
-    fn = RequestFunction(engine.request, description="verify")
-    c1, c2 = color_parity(fn, witness.w), color_parity(fn, witness.w + witness.x)
+    color = engine.coloring()
+    c1, c2 = color(witness.w), color(witness.w + witness.x)
     if (c1, c2) != (witness.color_w, witness.color_w_plus_x):
         raise VerificationError("recomputed colors (%d, %d) differ from report" % (c1, c2))
     if c1 == c2:

@@ -200,7 +200,7 @@ def test_criterion_7_counting_construction_end_to_end():
     )
     plans = [(catalog, 0, 1), (catalog, 1, 2), (deep, 0, 3)]
     for family, index, exponent in plans:
-        spread = pi3.distinct_requests(family, index, exponent)
+        spread = pi3.distinct_requests(pi3.Pi3Engine(family), index, exponent)
         assert len(set(spread.requests)) == 1 << exponent
         assert sorted(spread.requests) == block(exponent)
         witness = pi3.find_witness(family, index)
@@ -228,10 +228,10 @@ def test_criterion_8_priority_limits():
             checked.append(("delta3", variant, index, limit))
     horizon = 8
     for variant in ("instant", "delayed"):
-        family = monotone_catalog(variant)
+        engine = pi3.Pi3Engine(monotone_catalog(variant))
         for exponent in range(1, horizon + 1):
-            pi3.check_stage_settling(family, exponent)
-        stable = {pi3.stable_index(family, n) for n in range(1, horizon + 1)}
+            pi3.check_stage_settling(engine, exponent)
+        stable = {engine.stable_index(n) for n in range(1, horizon + 1)}
         for index in (0, 1, 2):  # every infinite fixture claims an exponent
             assert index in stable, (variant, index)
     _report(8, 120, started,

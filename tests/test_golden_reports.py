@@ -1,17 +1,22 @@
-"""Golden digests of eval and tree-check reports.
+"""Golden digests of eval, tree-check and witness reports.
 
 Reports are byte-identical for identical inputs, so the SHA-256 of each
-report file pins every value in it.  The digests were recorded with the
-per-vertex evaluators that preceded block-at-a-time evaluation; any change
-to an evaluator that alters a single color or contract count shows here.
+report file pins every value in it.  The eval and tree-check digests were
+recorded with the per-vertex evaluators that preceded block-at-a-time
+evaluation; the witness digests with the per-family memo registries that
+preceded one explicit engine per run.  Any change to an evaluator or a
+construction that alters a single color, request, chain or bookkeeping
+value shows here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from fscoloring import cli
 
+ROOT = Path(__file__).resolve().parent.parent
 W60 = 1 << 60
 
 GOLDEN = {
@@ -64,5 +69,65 @@ def test_report_digest(name, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert cli.main(["verify", str(report)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
+
+
+# "<config stem>/<index>/<oracle|blind>/<plain|product>": SHA-256 of the
+# witness report of configs/<config stem>.json.
+WITNESS_GOLDEN = {
+    "delta3-delayed/0/oracle/plain": "ddb4e198154760b8e0c8f7ffe26af59577b4746b69f9d39be488d060893ed61d",
+    "delta3-delayed/0/oracle/product": "8efc1775f6004d0d50d0bf3cd720559e23b872eecc267bb77cd527bb15e0fb85",
+    "delta3-delayed/0/blind/plain": "d485eab1d2c73289a29910ea7c472389f60e8188979883163e99198b366bb407",
+    "delta3-delayed/0/blind/product": "c7f6bc8c1a64e26fedde444b7485b13f94de7c4efcb99604627e1f1ec6f59071",
+    "delta3-delayed/1/oracle/plain": "9a4f9a60f175d9ddb28c3bb1c50f6308c0058d66e06b3a054949a704aba4e22d",
+    "delta3-delayed/1/oracle/product": "cf5258911151db571c3bfcb92c20c7246268f2f79dfd8685baa746a925f77352",
+    "delta3-delayed/1/blind/plain": "798ff17c56d37d3dc3269c6126e99a493b528a99f21ff0bc56ac1b475fa04716",
+    "delta3-delayed/1/blind/product": "13dc046778c80019cacd69f1d598e034dca0e81dd9a781d5aa167295aa94b23e",
+    "delta3-growing/0/oracle/plain": "12c1e88f23f0c7716255331f485ba52cb41522a8611da7a5358cfd29bc428dc7",
+    "delta3-growing/0/oracle/product": "fd3738f399ddb39c74f70059218c62438b741db90065e2d149f6a862163e4f80",
+    "delta3-growing/0/blind/plain": "83581d0bc48a4520d7ed7f19dea987ac64e65ed68a05d77aaa67b4172e94b6b6",
+    "delta3-growing/0/blind/product": "08f56c212eaae3ce299c0ca55817c4de465e070b2117764091c1452a086b86b4",
+    "delta3-growing/1/oracle/plain": "8b97219a8064489121b7416fa82a622f09f052cfb41e7205ba914921cf0f372a",
+    "delta3-growing/1/oracle/product": "a38a9422f428c302a67bd85b7782ca3e082458c46115bb109c715d59204298c6",
+    "delta3-growing/1/blind/plain": "769d79db3e56fda27613a290e61408fdb27aa8e5992e9cf72ba0fd118f2d4036",
+    "delta3-growing/1/blind/product": "7d54687089667aed9ad7ed348daca7f61c3d6612a35db40a6dfa0c925c3cad31",
+    "delta3-instant/0/oracle/plain": "9d02eb0eba10db8cbd8288a827044c3891e1901d5b70dec7f191f65a1dceace8",
+    "delta3-instant/0/oracle/product": "fc844a2b428fabc41381b26dc848274b3d90cb5adc2ae7fe67726327437c5620",
+    "delta3-instant/0/blind/plain": "630838200fdc59e95da72f6738f174919012f586768bb2cf3882784e13f5963f",
+    "delta3-instant/0/blind/product": "6bcfce5ddf6595ae3ec7b0fe4818b57cb5e3f8b3a392c83ee79cc68fae75a523",
+    "delta3-instant/1/oracle/plain": "2fbae98e57073caea25db479e72be0583f6b2ea61ca2c0f14ff33566c75a061c",
+    "delta3-instant/1/oracle/product": "2f94fd06302024f38acd727db758727997038df64d1e6776f6c8dde140ca64c6",
+    "delta3-instant/1/blind/plain": "d09d359d26788f41dccca773f7a9090409d5acc1ffd52b91c61598a498a689a5",
+    "delta3-instant/1/blind/product": "6e4027d239d73e17dea88d68ae8d64aa02284ca16fd61bd7a9aa248327d22de2",
+    "pi3-delayed/0/oracle/plain": "e2fb8252148963b3ae9ab24950a8c1914ecc5a85cfc000bba4e7600b5bd05742",
+    "pi3-delayed/0/oracle/product": "916defb946a52338f3fe3c0d573d54f0ec809e59b5bc02639b3e55e9b5404f53",
+    "pi3-delayed/0/blind/plain": "0aa795067bf0feffa7eaf966d41543030012679220ba3f8bb9c0025f30f4eaf5",
+    "pi3-delayed/0/blind/product": "6cb06000943707575a7893470cc2ed194a3a2b31f445baec22520bec7ed15651",
+    "pi3-delayed/1/oracle/plain": "1439ce2c3a1afe285b06bb24b97b8e2269959397c38c225c9f14599f884d89da",
+    "pi3-delayed/1/oracle/product": "3de5701571c40381458c4be9209b1f2bae65b9ed2cd01295acc6aad994477b89",
+    "pi3-delayed/1/blind/plain": "8df115b0834ad1c82f36d817d81f20d527b2c35ebe4a2ea09564b06180e73380",
+    "pi3-delayed/1/blind/product": "8fe3db1e4828f99a5d911a93cb4bebcc2af0ca9449df44b42e201fa8bc76a133",
+    "pi3-instant/0/oracle/plain": "9c4c5d3362586fcf6e649fd35bf278d8bca8ec074ab68e7c79401b4d44da250b",
+    "pi3-instant/0/oracle/product": "39dec4f337d56a3694494cd0d78ec64c66c57a802f296e7625d01ef5578c19b3",
+    "pi3-instant/0/blind/plain": "f42c860266882037bd23b05828e2ad3e9e5099b3fb8c53c782c59c8e18835aa0",
+    "pi3-instant/0/blind/product": "f1bd44094c3dde130eb46e0ec18252291b40912ce6f50818c9a100bfead8a6ce",
+    "pi3-instant/1/oracle/plain": "3fb60756dfbd26bc6a157c42567b7943c344bdd7bfd5a13358bac770125b0101",
+    "pi3-instant/1/oracle/product": "0f5e95c367e215e06b9d911771ac597e6b63dc8aed3edcb5062a53edeeb4458d",
+    "pi3-instant/1/blind/plain": "edba8e086fb494b7c7450d2e3b6aaeb06f76db1c04835fb4f5123adf4e886124",
+    "pi3-instant/1/blind/product": "4eb520743e29a34765b41e85cd04b9eaa0485e93cf38df298f7a6ccfd4bf92c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GOLDEN))
+def test_witness_report_digest(name, tmp_path, capsys):
+    stem, index, mode, shape = name.split("/")
+    argv = [stem.split("-")[0], "witness", "--config", str(ROOT / "configs" / (stem + ".json")),
+            "--index", index]
+    argv += ["--blind"] if mode == "blind" else []
+    argv += ["--product"] if shape == "product" else []
+    report = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == WITNESS_GOLDEN[name]
     assert cli.main(["verify", str(report)]) == 0
     assert "VERIFIED" in capsys.readouterr().out

@@ -369,6 +369,14 @@ class TestCli:
         assert cli.main(["eval", "--coloring", "delta3", "--start", str(w), "--end", str(w)]) == 2
         assert "guard 'factored_exponent' exceeded" in capsys.readouterr().err
 
+    def test_pi3_eval_beyond_chain_bits(self, capsys):
+        # requests at level 80 exceed the default chain_bits, the bound
+        # --guard-chain-bits raises for witness and verify runs
+        w = str((1 << 100) + (1 << 80))
+        assert cli.main(["eval", "--coloring", "pi3", "--start", w, "--end", w]) == 2
+        assert "guard 'chain_bits' exceeded: requested 80, bound 64" in capsys.readouterr().err
+        assert "chain_bits" in harness.Guards.__dataclass_fields__
+
     def test_tree_eval_beyond_generic_limit(self, capsys):
         # the generic span recursion nests one call per bit, like the factored one
         w = (1 << 1200) + (1 << 1199) + 1
@@ -452,3 +460,55 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["w2"] == "128"
         assert cli.main(["verify", str(report)]) == 0
+
+BAD_CONFIGS = {
+    "families-not-a-list": {"catalog": "delta3", "families": 5},
+    "config-null": None,
+    "config-a-list": [],
+    "entry-not-an-object": {"catalog": "delta3", "families": [3]},
+    "set-not-an-object": {"catalog": "delta3", "families": [{"index": "0", "set": 5}]},
+    "set-missing": {"catalog": "pi3", "families": [{"index": "0", "kind": "monotone"}]},
+}
+
+
+class TestMalformedInput:
+    FINITE = {"kind": "explicit", "elements": ["1", "2"]}
+
+    def test_finite_stream_ends_extraction(self):
+        payload = harness.run_extraction(self.FINITE, 2)
+        assert [entry["value"] for entry in payload["outputs"]] == ["1", "2"]
+        with pytest.raises(FixtureError, match="ended after 2 of 3 extraction outputs"):
+            harness.run_extraction(self.FINITE, 3)
+
+    def test_verify_finite_stream_report(self, tmp_path, capsys):
+        report = tmp_path / "extraction.json"
+        report.write_text(json.dumps(
+            {"report": "extraction", "stream": self.FINITE, "count": "3", "outputs": []}
+        ))
+        assert cli.main(["verify", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "verification failed: the stream ended after 2 of 3 extraction outputs",
+            "VERIFICATION FAILED",
+        ]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_witness_rejects_config_shape(self, name, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(BAD_CONFIGS[name]))
+        assert cli.main(["delta3", "witness", "--index", "0", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing"])
+    def test_verify_rejects_config_shape(self, name, tmp_path, capsys):
+        payload = harness.run_delta3(harness.default_config("delta3"), 0)
+        payload["config"] = BAD_CONFIGS[name]
+        report = tmp_path / "w.json"
+        report.write_text(json.dumps(payload))
+        assert cli.main(["verify", str(report)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("verification failed: ")
+        assert lines[1] == "VERIFICATION FAILED" and captured.err == ""

@@ -2,7 +2,7 @@ import pytest
 
 from fscoloring import pi3
 from fscoloring.dyadic import apart, block, low_bit, top_bit
-from fscoloring.errors import VerificationError, WitnessSearchError
+from fscoloring.errors import GuardError, VerificationError, WitnessSearchError
 from fscoloring.families import SetSpec, monotone_catalog, monotone_from_sets
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
@@ -43,25 +43,29 @@ class TestGuesses:
 
 class TestStageIndex:
     def test_single_family(self, single):
+        engine = pi3.Pi3Engine(single)
         for (y, k, s) in [(2, 2, 2), (3, 5, 7), (4, 4, 9)]:
-            assert pi3.stage_index(single, 1, y, k, s) == 0
-        assert pi3.stage_index(single, 2, 3, 3, 3) is None
+            assert engine.stage_index(1, y, k, s) == 0
+        assert engine.stage_index(2, 3, 3, 3) is None
 
     def test_catalog_priority(self, catalog):
-        assert pi3.stage_index(catalog, 1, 3, 4, 5) == 0
-        assert pi3.stage_index(catalog, 2, 3, 4, 5) == 1
-        assert pi3.stage_index(catalog, 4, 5, 6, 7) == 2
+        engine = pi3.Pi3Engine(catalog)
+        assert engine.stage_index(1, 3, 4, 5) == 0
+        assert engine.stage_index(2, 3, 4, 5) == 1
+        assert engine.stage_index(4, 5, 6, 7) == 2
 
     def test_domain_errors(self, single):
+        engine = pi3.Pi3Engine(single)
         for bad in [(0, 2, 3, 4), (2, 2, 3, 4), (1, 2, 1, 4), (1, 2, 5, 4)]:
             with pytest.raises(ValueError):
-                pi3.stage_index(single, *bad)
+                engine.stage_index(*bad)
 
     def test_injective_per_column(self, catalog):
+        engine = pi3.Pi3Engine(catalog)
         for (y, k, s) in [(5, 6, 8), (6, 9, 12), (7, 7, 20)]:
             seen = {}
             for n in range(1, y):
-                value = pi3.stage_index(catalog, n, y, k, s)
+                value = engine.stage_index(n, y, k, s)
                 if value is not None:
                     assert value not in seen, "index %r reused" % value
                     seen[value] = n
@@ -69,17 +73,19 @@ class TestStageIndex:
 
 class TestGuessRequest:
     def test_examples(self, single):
-        assert pi3.q_fn(single, 1, 3, 5, 7) == 8
-        assert pi3.q_fn(single, 1, 2, 5, 7) == 4
+        engine = pi3.Pi3Engine(single)
+        assert engine.q(1, 3, 5, 7) == 8
+        assert engine.q(1, 2, 5, 7) == 4
         # off the staged domain the default is the block root
-        assert pi3.q_fn(single, 1, 1, 5, 7) == 2
-        assert pi3.q_fn(single, 3, 4, 2, 7) == 16
+        assert engine.q(1, 1, 5, 7) == 2
+        assert engine.q(3, 4, 2, 7) == 16
 
     def test_in_block(self, catalog):
+        engine = pi3.Pi3Engine(catalog)
         for n in (1, 2):
             for y in range(n + 1, 8):
                 for k in range(y, 10):
-                    value = pi3.q_fn(catalog, n, y, k, 12)
+                    value = engine.q(n, y, k, 12)
                     assert top_bit(value) == y
 
 
@@ -88,6 +94,13 @@ class TestRequest:
         assert pi3.request(single, 1, 32) == 2  # block roots count zero
         assert pi3.request(single, 1, 40) == 3
         assert pi3.request(single, 0, 40) == 1
+
+    def test_chain_bits_bounds_request_level(self, catalog):
+        w = (1 << 100) + (1 << 81)
+        with pytest.raises(GuardError) as failure:
+            pi3.Pi3Engine(catalog).request(80, w)
+        assert (failure.value.guard, failure.value.bound) == ("chain_bits", 64)
+        assert top_bit(pi3.Pi3Engine(catalog, chain_bits=100).request(80, w)) == 80
 
     def test_type_soundness(self, catalog):
         for w in list(range(32, 64)) + [168, 5456]:
@@ -131,40 +144,43 @@ class TestRequest:
 
 class TestStableIndex:
     def test_single(self, single):
-        assert pi3.stable_index(single, 1) == 0
-        assert pi3.stable_index(single, 2) is None
+        engine = pi3.Pi3Engine(single)
+        assert engine.stable_index(1) == 0
+        assert engine.stable_index(2) is None
 
     def test_catalog_walk(self, catalog):
-        assert [pi3.stable_index(catalog, n) for n in range(1, 7)] == [0, 1, None, 2, 3, None]
+        engine = pi3.Pi3Engine(catalog)
+        assert [engine.stable_index(n) for n in range(1, 7)] == [0, 1, None, 2, 3, None]
 
     def test_staged_settling(self, catalog):
+        engine = pi3.Pi3Engine(catalog)
         for n in range(1, 6):
-            assert pi3.check_stage_settling(catalog, n) == pi3.stable_index(catalog, n)
+            assert pi3.check_stage_settling(engine, n) == engine.stable_index(n)
 
     def test_staged_settling_delayed(self):
-        family = monotone_catalog("delayed")
+        engine = pi3.Pi3Engine(monotone_catalog("delayed"))
         for n in (1, 2):
-            assert pi3.check_stage_settling(family, n) == pi3.stable_index(family, n)
+            assert pi3.check_stage_settling(engine, n) == engine.stable_index(n)
 
 
 class TestChains:
     def test_example_chain(self, single):
-        chain = pi3.build_chain(single, 0, 1, 3, 1)
+        chain = pi3.build_chain(pi3.Pi3Engine(single), 0, 1, 3, 1)
         assert chain.elements == (8, 32, 128)
 
     def test_single_element(self, single):
-        chain = pi3.build_chain(single, 0, 1, 1, 4)
+        chain = pi3.build_chain(pi3.Pi3Engine(single), 0, 1, 1, 4)
         assert len(chain.elements) == 1
         assert low_bit(chain.elements[0]) > 4
 
     def test_delayed_stretches_stage(self):
         family = monotone_catalog("delayed")
-        chain = pi3.build_chain(family, 0, 1, 3, 1)
+        chain = pi3.build_chain(pi3.Pi3Engine(family), 0, 1, 3, 1)
         # guesses need the ramp to pass the member ceiling: stage >= 2+1+6
         assert chain.final_stage >= 9
 
     def test_blind_chain(self, single):
-        chain = pi3.build_chain(single, 0, 1, 3, 1, mode="blind")
+        chain = pi3.build_chain(pi3.Pi3Engine(single), 0, 1, 3, 1, mode="blind")
         assert len(chain.elements) == 3
         for a, b in zip(chain.elements, chain.elements[1:]):
             assert apart(a, b)
@@ -172,25 +188,26 @@ class TestChains:
 
 class TestDistinctRequests:
     def test_exponent_one(self, single):
-        spread = pi3.distinct_requests(single, 0, 1)
+        spread = pi3.distinct_requests(pi3.Pi3Engine(single), 0, 1)
         assert sorted(spread.requests) == [2, 3]
         assert spread.sums == (sum(spread.chain.elements), sum(spread.chain.elements[1:]))
 
     def test_exponent_two_exhausts_block(self):
         evens = monotone_from_sets([SetSpec.powers(modulus=2, residue=0, min_exponent=2)])
-        assert pi3.stable_index(evens, 2) == 0
-        spread = pi3.distinct_requests(evens, 0, 2)
+        engine = pi3.Pi3Engine(evens)
+        assert engine.stable_index(2) == 0
+        spread = pi3.distinct_requests(engine, 0, 2)
         assert sorted(spread.requests) == block(2)
 
     def test_consecutive_residue_steps(self, single):
         engine = pi3.Pi3Engine(single)
-        spread = pi3.distinct_requests(single, 0, 1)
+        spread = pi3.distinct_requests(engine, 0, 1)
         counts = [engine.base_count(1, w) for w in spread.sums]
         for a, b in zip(counts, counts[1:]):
             assert (a - b) % 2 == 1
 
     def test_low_bits_above_exponent(self, single):
-        spread = pi3.distinct_requests(single, 0, 1)
+        spread = pi3.distinct_requests(pi3.Pi3Engine(single), 0, 1)
         assert all(low_bit(w) > 1 for w in spread.sums)
 
 
@@ -240,8 +257,9 @@ class TestFindWitness:
 
 def test_deep_block_exponent_three():
     deep = monotone_from_sets([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
-    assert pi3.stable_index(deep, 3) == 0
-    spread = pi3.distinct_requests(deep, 0, 3)
+    engine = pi3.Pi3Engine(deep)
+    assert engine.stable_index(3) == 0
+    spread = pi3.distinct_requests(engine, 0, 3)
     assert sorted(spread.requests) == block(3)
     witness = pi3.find_witness(deep, 0)
     assert witness.block_exponent == 3 and witness.x == 8
