@@ -19,7 +19,7 @@ from fscoloring import (
     random_request,
     tree_edges,
 )
-from fscoloring.treecolor import CountingTriRequest, TriRequestFunction, random_tri_request
+from fscoloring.treecolor import TriRequestFunction, random_tri_request
 
 print("The default request answers every query with its block maximum:")
 R = default_request()
@@ -58,9 +58,16 @@ print("  fast evaluator == materialized tree on the whole block: %s" % agree)
 print()
 print("Requests factored through (exponent, low bit, top bit) evaluate")
 print("through a quadratic potential table, workable at exponent 60:")
-counting = CountingTriRequest(random_tri_request(7))
+tri, evaluations = random_tri_request(7), []
+
+
+def counting(n, k, s):
+    evaluations.append((n, k, s))
+    return tri(n, k, s)
+
+
 lifted = lift_tri(TriRequestFunction(counting, "counted"))
 w = (1 << 60) + 0x1234_5678_9ABC
 value = color_mod(lifted, w, 2)
 print("  color of a 61-bit vertex: %d, using %d request evaluations (4*s^2 = %d)"
-      % (value, counting.count, 4 * 60 * 60))
+      % (value, len(evaluations), 4 * 60 * 60))

@@ -11,12 +11,9 @@ from types import ModuleType as _ModuleType
 from .dyadic import (
     apart,
     block,
-    block_upto,
     finite_sums,
-    from_bits,
     has_apartness,
     has_weak_apartness,
-    iter_block,
     low_bit,
     measures,
     top_bit,
@@ -43,7 +40,6 @@ from .treecolor import (
     BlockTree,
     RequestFunction,
     TriRequestFunction,
-    bridge,
     color_mod,
     color_mod_bfs,
     color_parity,

@@ -16,18 +16,18 @@ from . import harness
 from .errors import FixtureError, GuardError, VerificationError, WitnessSearchError
 
 
-def _add_guard_flags(parser):
+def _add_guard_flags(parser, *names):
+    """A --guard-* flag for each named Guards field, the ones the command reads."""
     group = parser.add_argument_group("guard overrides")
-    for name in harness.Guards.__dataclass_fields__:
+    for name in names:
         group.add_argument("--guard-%s" % name.replace("_", "-"), type=int, default=None)
 
 
 def _guards(args) -> harness.Guards:
-    overrides = {
-        name: getattr(args, "guard_%s" % name, None)
-        for name in harness.Guards.__dataclass_fields__
-    }
-    return harness.Guards.from_payload(None, **overrides)
+    return harness.Guards(**{
+        name: value for name in harness.Guards.__dataclass_fields__
+        if (value := getattr(args, "guard_%s" % name, None)) is not None
+    })
 
 
 def _coloring_spec(args) -> dict:
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree_check.add_argument("--moduli", default="2,3")
     p_tree_check.add_argument("--no-contract", action="store_true")
     p_tree_check.add_argument("--out")
-    _add_guard_flags(p_tree_check)
+    _add_guard_flags(p_tree_check, "tree_exponent")
 
     p_search = commands.add_parser("search-mono", help="exhaustive monochromatic-set search")
     p_search.add_argument("--coloring", choices=coloring_ids, required=True)
@@ -90,9 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--config")
     p_search.add_argument("--variant", default="instant")
     p_search.add_argument("--out")
-    _add_guard_flags(p_search)
+    _add_guard_flags(p_search, "search_combinations")
 
-    for name in ("delta3", "pi3"):
+    witness_guards = {
+        "delta3": ("blind_bound", "horizon"),
+        "pi3": ("request_exponent", "chain_bits", "horizon"),
+    }
+    for name, guard_names in witness_guards.items():
         p_group = commands.add_parser(name, help="%s construction runs" % name)
         sub = p_group.add_subparsers(dest="%s_command" % name, required=True)
         p_witness = sub.add_parser("witness", help="find and verify a fixture kill")
@@ -100,12 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         p_witness.add_argument("--config")
         p_witness.add_argument("--variant", default="instant")
         p_witness.add_argument("--blind", action="store_true")
-        p_witness.add_argument("--bound", type=int, default=None,
-                               help="value cap for blind searches")
         p_witness.add_argument("--product", action="store_true",
                                help="kill under the product with the pair coloring")
         p_witness.add_argument("--out")
-        _add_guard_flags(p_witness)
+        _add_guard_flags(p_witness, *guard_names)
 
     p_apart = commands.add_parser("apartness", help="apartness extraction")
     apart_sub = p_apart.add_subparsers(dest="apartness_command", required=True)
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = commands.add_parser("verify", help="recompute every claim in a report file")
     p_verify.add_argument("report")
-    _add_guard_flags(p_verify)
+    _add_guard_flags(p_verify, "tree_exponent", "chain_bits", "search_combinations")
 
     return parser
 
@@ -169,8 +171,6 @@ def _run(args) -> int:
     if args.command in ("delta3", "pi3"):
         config = _config(args, args.command)
         mode = "blind" if args.blind else "oracle"
-        if args.bound is not None:
-            guards = harness.Guards.from_payload(guards.to_payload(), blind_bound=args.bound)
         run, summary = {
             "product": (harness.run_product_kill,
                         "killed fixture {index} via {branch} branch: colors of {u} and {v} differ"),

@@ -21,7 +21,7 @@ from . import dyadic
 from .dyadic import finite_sums, low_bit, top_bit
 from .errors import Guards, VerificationError, WitnessSearchError
 from .families import Delta3Family
-from .treecolor import TriRequestFunction, block_max, lift_tri, tree_coloring
+from .treecolor import TreeColoring, TriRequestFunction, block_max, lift_tri
 
 
 def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int) -> int:
@@ -88,11 +88,11 @@ def request(family: Delta3Family, n: int, w: int) -> int:
 
 def coloring(family: Delta3Family):
     """The two-coloring induced by the family's request function, total on
-    positives (see treecolor.tree_coloring)."""
+    positives (see treecolor.TreeColoring)."""
     name = family.description or "family"
     tri = TriRequestFunction(lambda n, k, s: request_at_stages(family, n, k, s),
                              description="staged-membership request (%s)" % name)
-    return tree_coloring(lift_tri(tri), description="membership-killer coloring (%s)" % name)
+    return TreeColoring(lift_tri(tri), description="membership-killer coloring (%s)" % name)
 
 
 def candidate_limit(family: Delta3Family, i: int,

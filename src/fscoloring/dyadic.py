@@ -11,14 +11,14 @@ a pure function and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardError
 
 #: Largest input set accepted by finite_sums by default (2**n subsets).
 DEFAULT_SUBSET_ELEMENTS = 20
 
-#: Largest exponent block and block_upto materialize by default.
+#: Largest exponent block materializes by default.
 DEFAULT_BLOCK_EXPONENT = 20
 
 
@@ -46,35 +46,6 @@ def measures(x: int) -> Measures:
     return Measures(top_bit(x), low_bit(x))
 
 
-def bit_positions(x: int) -> tuple:
-    """The increasing tuple of set-bit positions of x."""
-    if x < 1:
-        raise ValueError("bit_positions needs a positive integer, got %r" % (x,))
-    out = []
-    position = 0
-    while x:
-        if x & 1:
-            out.append(position)
-        x >>= 1
-        position += 1
-    return tuple(out)
-
-
-def from_bits(positions: Iterable[int]) -> int:
-    """Rebuild the integer with exactly the given set-bit positions."""
-    positions = tuple(positions)
-    if not positions:
-        raise ValueError("a positive integer has a nonempty digit set")
-    if len(set(positions)) != len(positions):
-        raise ValueError("digit positions must be distinct: %r" % (positions,))
-    value = 0
-    for p in positions:
-        if p < 0:
-            raise ValueError("digit positions are nonnegative: %r" % (p,))
-        value |= 1 << p
-    return value
-
-
 def apart(x: int, y: int) -> bool:
     """True iff every digit of x sits strictly below every digit of y.
 
@@ -93,30 +64,13 @@ def has_apartness(values: Sequence[int]) -> bool:
 def block(n: int, max_exponent: int = DEFAULT_BLOCK_EXPONENT) -> list:
     """The block of integers whose highest bit is n, i.e. [2**n, 2**(n+1)).
 
-    Materializes 2**n values, so it is guarded; use iter_block for lazy
-    scans at any exponent.
+    Materializes 2**n values, so it is guarded.
     """
     if n < 0:
         raise ValueError("block exponent must be nonnegative, got %r" % (n,))
     if n > max_exponent:
         raise GuardError("block_exponent", max_exponent, n)
     return list(range(1 << n, 1 << (n + 1)))
-
-
-def iter_block(n: int) -> Iterator[int]:
-    """Lazy increasing enumeration of the block at exponent n (unguarded)."""
-    if n < 0:
-        raise ValueError("block exponent must be nonnegative, got %r" % (n,))
-    return iter(range(1 << n, 1 << (n + 1)))
-
-
-def block_upto(n: int, max_exponent: int = DEFAULT_BLOCK_EXPONENT) -> list:
-    """All positive integers with highest bit at most n: [1, 2**(n+1))."""
-    if n < 0:
-        raise ValueError("block exponent must be nonnegative, got %r" % (n,))
-    if n + 1 > max_exponent:
-        raise GuardError("block_exponent", max_exponent, n + 1)
-    return list(range(1, 1 << (n + 1)))
 
 
 def finite_sums(

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
 class Guards:
-    """Numeric resource bounds, overridable from configs and the CLI.
+    """Numeric resource bounds, overridable from the CLI.
 
     The field defaults are the library's only guard defaults: every
     guarded function takes its default bound from here.
@@ -20,20 +19,6 @@ class Guards:
     blind_bound: int = 65536
     horizon: int = 24
     search_combinations: int = 5_000_000
-
-    @classmethod
-    def from_payload(cls, payload: Optional[dict], **overrides) -> "Guards":
-        values = {}
-        for name in cls.__dataclass_fields__:
-            if payload and name in payload:
-                values[name] = int(payload[name])
-        for name, value in overrides.items():
-            if value is not None:
-                values[name] = int(value)
-        return cls(**values)
-
-    def to_payload(self) -> dict:
-        return {name: str(getattr(self, name)) for name in self.__dataclass_fields__}
 
 
 class GuardError(RuntimeError):

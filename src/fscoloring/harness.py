@@ -25,8 +25,7 @@ from .families import (  # default_config is re-exported for callers of harness
     Delta3Family, MonotoneFamily, build_family, default_config, validate_family,
 )
 from .treecolor import (
-    TreeColoring, default_request, popcount_coloring, random_request, signed_counts,
-    tree_coloring, tree_edges,
+    TreeColoring, default_request, popcount_coloring, random_request, signed_counts, tree_edges,
 )
 
 
@@ -61,23 +60,25 @@ def build_coloring(spec: dict):
             request = default_request()
         else:
             request = random_request(int(spec.get("seed", "0")))
-        return tree_coloring(request, int(spec.get("modulus", "2"))), 1
+        return TreeColoring(request, int(spec.get("modulus", "2"))), 1
     if kind == "killer":
         return apartness.weak_apartness_killer, 2
     if kind in ("delta3", "delta3-product", "pi3", "pi3-product"):
         catalog, _, product = kind.partition("-")
         family = _catalog_family(spec["config"], catalog)
-        return _construction_coloring(family, product=bool(product)), 3 if product else 1
+        coloring = _construction_coloring(family, product=bool(product),
+                                          chain_bits=Guards.chain_bits)
+        return coloring, 3 if product else 1
     raise FixtureError("unknown coloring id %r" % (kind,))
 
 
-def _construction_coloring(family, *, product: bool = False):
+def _construction_coloring(family, *, product: bool, chain_bits: int):
     """The family's construction coloring, alone or in product with the
-    pair coloring."""
+    pair coloring; pi3 colorings serve requests up to chain_bits."""
     if isinstance(family, Delta3Family):
         base = delta3.coloring(family)
     else:
-        base = pi3.coloring(family)
+        base = pi3.coloring(family, chain_bits)
     if product:
         return apartness.product([base, apartness.weak_apartness_killer])
     return base
@@ -344,7 +345,7 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
         branch = "killer"
         embedded = None
         u, v, u_terms, v_terms = _killer_kill(certificate)
-    prod = _construction_coloring(family, product=True)
+    prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
     cu, cv = prod(u), prod(v)
     if cu == cv:
         raise VerificationError("product colors of %d and %d agree" % (u, v))
@@ -593,7 +594,7 @@ def _verify_product_kill(payload, guards):
     family = build_family(payload["config"])
     index = int(payload["index"])
     u, v = int(payload["u"]), int(payload["v"])
-    prod = _construction_coloring(family, product=True)
+    prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
     cu, cv = prod(u), prod(v)
     if [str(c) for c in cu] != payload["color_u"] or [str(c) for c in cv] != payload["color_v"]:
         raise VerificationError("recomputed product colors differ from report")

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 from . import dyadic
 from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards, VerificationError, WitnessSearchError
-from .treecolor import RequestFunction, TriRequestFunction, color_mod, lift_tri, tree_coloring
+from .treecolor import RequestFunction, TreeColoring, TriRequestFunction, color_mod, lift_tri
 
 
 def guess_bound(family, i, n, y, s) -> int:
@@ -132,10 +132,10 @@ class Pi3Engine:
 
     def coloring(self):
         """The two-coloring induced by the synthesized request function,
-        total on positives (see treecolor.tree_coloring)."""
+        total on positives (see treecolor.TreeColoring)."""
         name = self.family.description or "family"
         request = RequestFunction(self.request, description="staged-count request (%s)" % name)
-        return tree_coloring(request, description="count-killer coloring (%s)" % name)
+        return TreeColoring(request, description="count-killer coloring (%s)" % name)
 
 
 def request(family, n, w) -> int:
@@ -143,9 +143,9 @@ def request(family, n, w) -> int:
     return Pi3Engine(family).request(n, w)
 
 
-def coloring(family):
+def coloring(family, chain_bits=Guards.chain_bits):
     """The family's count-killer coloring; it keeps one engine for its life."""
-    return Pi3Engine(family).coloring()
+    return Pi3Engine(family, chain_bits).coloring()
 
 
 def check_stage_settling(engine, n, *, sample_offsets=(1, 3)) -> Optional[int]:

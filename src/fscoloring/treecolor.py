@@ -21,8 +21,9 @@ reference oracle both evaluators are validated against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards
@@ -40,29 +41,28 @@ def block_max(n: int) -> int:
     return (1 << (n + 1)) - 1
 
 
+@dataclass(frozen=True)
 class RequestFunction:
     """Total deterministic map (n, w) -> member of the block at exponent n.
 
     Wraps a raw callable and checks the block-membership contract on every
     evaluation; a request value outside its block would silently break the
-    tree structure, so it is rejected immediately.
+    tree structure, so it is rejected immediately.  tri, when set, is the
+    factored core the request lifts (see lift_tri).
     """
 
-    def __init__(self, fn: Callable[[int, int], int], description: str = "request"):
-        self._fn = fn
-        self.description = description
+    fn: Callable[[int, int], int]
+    description: str = "request"
+    tri: Optional[TriRequestFunction] = None
 
     def __call__(self, n: int, w: int) -> int:
-        value = self._fn(n, w)
+        value = self.fn(n, w)
         if value < 1 or top_bit(value) != n:
             raise ValueError(
                 "request %s returned %r at (n=%d, w=%d), not in block %d"
                 % (self.description, value, n, w, n)
             )
         return value
-
-    def __repr__(self):
-        return "RequestFunction(%s)" % self.description
 
 
 class TriRequestFunction:
@@ -86,16 +86,12 @@ def lift_tri(tri: TriRequestFunction) -> RequestFunction:
     """Turn a three-coordinate request into a full one via (n, w) ->
     tri(n, low_bit(w), top_bit(w)).
 
-    The lifted function remembers its factored core, which lets the
+    The lifted function carries its factored core, which lets the
     coloring evaluators use the quadratic base-potential scheme instead of
     the generic recursion.
     """
-    lifted = RequestFunction(
-        lambda n, w: tri(n, low_bit(w), top_bit(w)),
-        description="lifted %s" % tri.description,
-    )
-    lifted.tri = tri
-    return lifted
+    return RequestFunction(lambda n, w: tri(n, low_bit(w), top_bit(w)),
+                           "lifted %s" % tri.description, tri)
 
 
 def extend_request(partial=None, description: str = "extended request") -> RequestFunction:
@@ -169,47 +165,9 @@ def random_tri_request(seed: int) -> TriRequestFunction:
     return TriRequestFunction(fn, description="random tri(seed=%d)" % seed)
 
 
-class CountingTriRequest:
-    """Instrumentation wrapper for factored requests."""
-
-    def __init__(self, inner: TriRequestFunction):
-        self.inner = inner
-        self.description = inner.description
-        self.count = 0
-
-    def __call__(self, n, k, s):
-        self.count += 1
-        return self.inner(n, k, s)
-
-
-class MemoRequest:
-    """Observationally pure memo wrapper shared across evaluations."""
-
-    def __init__(self, inner: RequestFunction):
-        self.inner = inner
-        self.description = inner.description
-        self._memo: Dict[Tuple[int, int], int] = {}
-
-    def __call__(self, n, w):
-        key = (n, w)
-        value = self._memo.get(key)
-        if value is None:
-            value = self.inner(n, w)
-            self._memo[key] = value
-        return value
-
-
-class CountingRequest:
-    """Instrumentation wrapper counting evaluations reaching the inner map."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.description = getattr(inner, "description", "counted")
-        self.count = 0
-
-    def __call__(self, n, w):
-        self.count += 1
-        return self.inner(n, w)
+def MemoRequest(inner: RequestFunction) -> RequestFunction:
+    """inner behind an unbounded memo; observationally pure, as inner is."""
+    return RequestFunction(functools.lru_cache(maxsize=None)(inner), inner.description)
 
 
 @dataclass(frozen=True)
@@ -274,17 +232,7 @@ def tree_edges(
     return BlockTree(exponent=s, edges=tuple(edges))
 
 
-def bridge(w: int, n: int, request: Callable[[int, int], int]) -> tuple:
-    """The unique edge joining the low and high halves of the span
-    [w, w + 2**(n+1)); its low endpoint is w itself."""
-    if n >= low_bit(w):
-        raise ValueError(
-            "bridge needs n < low_bit(w); got n=%d, low_bit(%d)=%d" % (n, w, low_bit(w))
-        )
-    return (w, w + request(n, w))
-
-
-def signed_counts(request: Callable[[int, int], int], ws) -> dict:
+def signed_counts(request: RequestFunction, ws) -> dict:
     """{w: signed edge count from the block root 2**top_bit(w) to w} for ws.
 
     Every edge is oriented from w' to w' + R(n', w'); traversals along the
@@ -298,15 +246,14 @@ def signed_counts(request: Callable[[int, int], int], ws) -> dict:
         if w < 2:
             raise ValueError("colorable vertices start at 2, got %r" % (w,))
         blocks.setdefault(top_bit(w), set()).add(w)
-    tri = getattr(request, "tri", None)
     counts = {}
     for s, targets in blocks.items():
-        counts.update(_factored_counts(tri, s, targets) if tri is not None
+        counts.update(_factored_counts(request.tri, s, targets) if request.tri is not None
                       else _generic_counts(request, s, targets))
     return counts
 
 
-def signed_count(request: Callable[[int, int], int], w: int) -> int:
+def signed_count(request: RequestFunction, w: int) -> int:
     """Signed edge count from the block root 2**top_bit(w) to w."""
     return signed_counts(request, (w,))[w]
 
@@ -381,7 +328,7 @@ def _generic_counts(request, s: int, targets) -> dict:
     return potentials(1 << s, s - 1, targets)
 
 
-def color_mod(request: Callable[[int, int], int], w: int, modulus: int) -> int:
+def color_mod(request: RequestFunction, w: int, modulus: int) -> int:
     """The request-tree coloring of w in Z_modulus; block roots get 0.
 
     Satisfies color_mod(R, w + R(n, w), r) == color_mod(R, w, r) + 1 (mod r)
@@ -392,7 +339,7 @@ def color_mod(request: Callable[[int, int], int], w: int, modulus: int) -> int:
     return signed_count(request, w) % modulus
 
 
-def color_parity(request: Callable[[int, int], int], w: int) -> int:
+def color_parity(request: RequestFunction, w: int) -> int:
     """Two-coloring specialization; signed and plain path length agree mod 2."""
     return color_mod(request, w, 2)
 
@@ -405,9 +352,13 @@ class TreeColoring:
     every block root; color_mod itself starts at 2.
     """
 
-    request: Callable[[int, int], int]
+    request: RequestFunction
     modulus: int = 2
     description: str = "tree coloring"
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError("modulus must be at least 2, got %r" % (self.modulus,))
 
     def __call__(self, w: int) -> int:
         return 0 if w == 1 else color_mod(self.request, w, self.modulus)
@@ -416,14 +367,6 @@ class TreeColoring:
         """The colors of the sequence ws, in order, block by block."""
         counts = signed_counts(self.request, [w for w in ws if w != 1])
         return [0 if w == 1 else counts[w] % self.modulus for w in ws]
-
-
-def tree_coloring(request: Callable[[int, int], int], modulus: int = 2,
-                  description: str = "tree coloring") -> TreeColoring:
-    """The request-tree coloring mod modulus of every positive integer."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2, got %r" % (modulus,))
-    return TreeColoring(request, modulus, description)
 
 
 def signed_counts_table(tree: BlockTree) -> dict:

@@ -22,7 +22,6 @@ from fscoloring.dyadic import (
 from fscoloring.errors import WitnessSearchError
 from fscoloring.families import SetSpec, delta3_catalog, monotone_catalog, monotone_from_sets
 from fscoloring.treecolor import (
-    CountingTriRequest,
     MemoRequest,
     TriRequestFunction,
     default_request,
@@ -109,9 +108,13 @@ def test_criterion_3_evaluator_equivalence():
     worst = 0
     for trial in range(20):
         w = (1 << s) + _mix(33, trial) % (1 << s)
-        counting = CountingTriRequest(random_tri_request(trial))
+        tri, calls = random_tri_request(trial), []
+
+        def counting(n, k, s):
+            calls.append((n, k, s))
+            return tri(n, k, s)
         signed_count(lift_tri(TriRequestFunction(counting, "counted")), w)
-        worst = max(worst, counting.count)
+        worst = max(worst, len(calls))
     assert worst <= 4 * s * s, worst
     _report(3, 60, started,
             "fast evaluator == tree oracle on exponents 1..12; at exponent 60 "

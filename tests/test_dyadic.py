@@ -24,20 +24,6 @@ def test_measures_reject_nonpositive(bad):
         dyadic.low_bit(bad)
 
 
-def test_bit_positions_roundtrip():
-    assert dyadic.bit_positions(12) == (2, 3)
-    assert dyadic.from_bits((2, 3)) == 12
-    with pytest.raises(ValueError):
-        dyadic.from_bits(())
-    with pytest.raises(ValueError):
-        dyadic.from_bits((1, 1))
-
-
-@given(st.integers(min_value=1, max_value=1 << 70))
-def test_bit_positions_reconstruct(x):
-    assert dyadic.from_bits(dyadic.bit_positions(x)) == x
-
-
 @pytest.mark.parametrize(
     "x, y, expected",
     [(4, 8, True), (8, 12, False), (2, 3, False), (1, 2, True), (3, 4, True)],
@@ -51,12 +37,11 @@ def test_block_small():
     assert dyadic.block(0) == [1]
     b3 = dyadic.block(3)
     assert len(b3) == 8 and min(b3) == 8 and max(b3) == 15
-    assert dyadic.block_upto(2) == list(range(1, 8))
 
 
 def test_block_membership_exhaustive():
     for n in range(13):
-        members = list(dyadic.iter_block(n))
+        members = dyadic.block(n)
         assert len(members) == 1 << n
         assert all(dyadic.top_bit(x) == n for x in members)
 
@@ -65,9 +50,6 @@ def test_block_guard():
     with pytest.raises(GuardError) as failure:
         dyadic.block(25)
     assert failure.value.guard == "block_exponent"
-    # lazy enumeration has no guard
-    it = dyadic.iter_block(40)
-    assert next(it) == 1 << 40
 
 
 @pytest.mark.parametrize(

@@ -109,14 +109,13 @@ class TestConfig:
 
 class TestGuards:
     def test_overrides(self):
-        guards = harness.Guards.from_payload({"horizon": "30"}, blind_bound=99)
+        args = cli.build_parser().parse_args([
+            "delta3", "witness", "--index", "0",
+            "--guard-horizon", "30", "--guard-blind-bound", "99",
+        ])
+        guards = cli._guards(args)
         assert guards.horizon == 30 and guards.blind_bound == 99
         assert guards.tree_exponent == 16
-
-    def test_payload_roundtrip(self):
-        guards = harness.Guards(horizon=31)
-        again = harness.Guards.from_payload(guards.to_payload())
-        assert again == guards
 
 
 class TestReports:
@@ -298,7 +297,8 @@ class TestCli:
 
     def test_blind_bound_flag(self, capsys):
         # a bound too small to hold any witness pair exhausts explicitly
-        code = cli.main(["delta3", "witness", "--index", "0", "--blind", "--bound", "16"])
+        code = cli.main(["delta3", "witness", "--index", "0", "--blind",
+                         "--guard-blind-bound", "16"])
         assert code == 1
         assert "no witness" in capsys.readouterr().err
 
@@ -448,6 +448,36 @@ class TestCli:
             cli.main(["eval", "--coloring", "popcount", "--end", "8", "--guard-horizon", "5"])
         assert usage.value.code == 2
         assert "unrecognized arguments: --guard-horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "check", "--guard-horizon", "5"],
+        ["pi3", "witness", "--index", "0", "--guard-blind-bound", "5"],
+        ["delta3", "witness", "--index", "0", "--blind", "--bound", "16"],
+    ])
+    def test_unread_guard_flags_are_usage_errors(self, argv, capsys):
+        # a command offers only the guard flags it reads
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2
+        assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
+
+    def test_product_kill_takes_chain_bits(self, tmp_path, capsys):
+        # this fixture's chain reaches bit 69, above the default chain_bits
+        # of 64, so its product kill colors with requests at level 69
+        config = {"catalog": "pi3", "families": [{
+            "index": "0", "kind": "monotone",
+            "set": {"kind": "powers", "modulus": "2", "residue": "1", "min_exponent": "5"},
+        }]}
+        path, report = tmp_path / "one.json", tmp_path / "kill.json"
+        harness.save_config(str(path), config)
+        assert cli.main([
+            "pi3", "witness", "--index", "0", "--config", str(path), "--product",
+            "--guard-chain-bits", "90", "--out", str(report),
+        ]) == 0
+        assert cli.main(["verify", str(report), "--guard-chain-bits", "90"]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+        assert cli.main(["verify", str(report)]) == 1
+        assert "requested 69, bound 64" in capsys.readouterr().out
 
     def test_config_file_flow(self, tmp_path):
         config = tmp_path / "catalog.json"

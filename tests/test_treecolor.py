@@ -6,12 +6,10 @@ from fscoloring import treecolor
 from fscoloring.dyadic import low_bit, top_bit
 from fscoloring.errors import GuardError
 from fscoloring.treecolor import (
-    CountingRequest,
-    CountingTriRequest,
     MemoRequest,
     RequestFunction,
+    TreeColoring,
     TriRequestFunction,
-    bridge,
     color_mod,
     color_mod_bfs,
     color_parity,
@@ -24,11 +22,20 @@ from fscoloring.treecolor import (
     signed_count,
     signed_counts,
     signed_counts_table,
-    tree_coloring,
     tree_edges,
 )
 
 POW2 = RequestFunction(lambda n, w: 1 << n, "pow2")
+
+
+def counted(fn, description="counted"):
+    """fn as a TriRequestFunction, with the list of its evaluations."""
+    calls = []
+
+    def counting(n, k, s):
+        calls.append((n, k, s))
+        return fn(n, k, s)
+    return TriRequestFunction(counting, description), calls
 
 
 def test_extend_request_examples():
@@ -77,11 +84,12 @@ def test_tree_guard():
 
 
 def test_bridge_examples():
-    assert bridge(4, 1, extend_request({(1, 4): 2})) == (4, 6)
-    assert bridge(4, 1, default_request()) == (4, 7)
-    assert bridge(8, 2, extend_request({(2, 8): 5})) == (8, 13)
-    with pytest.raises(ValueError):
-        bridge(4, 2, default_request())
+    # the bridge of (w, n) is the tree edge (w, w + R(n, w)) at level n
+    assert (4, 6, 1) in tree_edges(2, extend_request({(1, 4): 2})).edges
+    assert (4, 7, 1) in tree_edges(2, default_request()).edges
+    assert (8, 13, 2) in tree_edges(3, extend_request({(2, 8): 5})).edges
+    # and w has none at or above its low bit
+    assert [n for a, _b, n in tree_edges(2, default_request()).edges if a == 4] == [0, 1]
 
 
 def test_bridge_uniqueness_exhaustive():
@@ -161,11 +169,10 @@ def test_consistency_parity_is_mod_two():
 
 def test_large_exponent_quadratic_budget():
     # block exponent 20 through the factored path, instrumented
-    counting = CountingTriRequest(random_tri_request(5))
-    lifted = lift_tri(TriRequestFunction(counting, "counted"))
+    tri, calls = counted(random_tri_request(5))
     w = (1 << 20) + 0b1010110011010101  # arbitrary member of the block
-    color_mod(lifted, w, 2)
-    assert counting.count <= 4 * 20 * 20
+    color_mod(lift_tri(tri), w, 2)
+    assert len(calls) <= 4 * 20 * 20
 
 
 def test_factored_exponent_limit():
@@ -217,13 +224,16 @@ def test_full_block_requests_each_bridge_once():
     # a block at exponent s has 2**s - 1 bridges; vertex by vertex the
     # generic recursion requests them 22,992 times at s = 10
     s = 10
-    counting = CountingRequest(random_request(3))
-    signed_counts(counting, range(1 << s, 1 << (s + 1)))
-    assert counting.count <= (1 << s) - 1
-    counting_tri = CountingTriRequest(random_tri_request(3))
-    signed_counts(lift_tri(TriRequestFunction(counting_tri, "counted")),
-                  range(1 << s, 1 << (s + 1)))
-    assert counting_tri.count <= s * (s + 1) // 2
+    request, calls = random_request(3), []
+
+    def counting(n, w):
+        calls.append((n, w))
+        return request(n, w)
+    signed_counts(RequestFunction(counting), range(1 << s, 1 << (s + 1)))
+    assert len(calls) <= (1 << s) - 1
+    tri, tri_calls = counted(random_tri_request(3))
+    signed_counts(lift_tri(tri), range(1 << s, 1 << (s + 1)))
+    assert len(tri_calls) <= s * (s + 1) // 2
 
 
 def test_generic_exponent_limit():
@@ -239,15 +249,15 @@ def test_generic_exponent_limit():
 
 def test_tree_coloring_table():
     for request in BATCH_REQUESTS.values():
-        color = tree_coloring(request, 5, description="checked")
+        color = TreeColoring(request, 5, description="checked")
         ws = [1, 2, 9, 9, 300, 1 << 30]
         assert color.table(ws) == [color(w) for w in ws]
         assert color.table(ws)[0] == 0
         assert color.description == "checked"
     with pytest.raises(ValueError):
-        tree_coloring(default_request(), 1)
+        TreeColoring(default_request(), 1)
     with pytest.raises(ValueError):
-        tree_coloring(default_request()).table([3, 0])
+        TreeColoring(default_request()).table([3, 0])
 
 
 def test_memo_request_is_pure():
@@ -255,12 +265,7 @@ def test_memo_request_is_pure():
     first = [signed_count(memo, w) for w in range(32, 64)]
     second = [signed_count(memo, w) for w in range(32, 64)]
     assert first == second
-
-
-def test_counting_request_counts():
-    counting = CountingRequest(default_request())
-    color_parity(counting, 12)
-    assert counting.count > 0
+    assert isinstance(memo, RequestFunction) and memo.tri is None
 
 
 @pytest.mark.parametrize("w, expected", [(2, 1), (3, 0), (4, 1), (5, 0)])
@@ -278,6 +283,8 @@ def test_lift_tri_examples():
     constant = TriRequestFunction(lambda n, k, s: 1 << n, "pow2 tri")
     lifted = lift_tri(constant)
     assert lifted(3, 16) == 8
+    assert lifted.tri is constant and lifted.description == "lifted pow2 tri"
+    assert POW2.tri is None and random_request(1).tri is None
 
     table = {(1, 3, 5): 2}
     tri = TriRequestFunction(lambda n, k, s: table.get((n, k, s), (1 << (n + 1)) - 1), "patched")
