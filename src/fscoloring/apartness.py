@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .dyadic import apart, low_bit, top_bit
+from .errors import GuardError, Guards
 
 
 def top_bit_parity(x: int) -> int:
@@ -78,7 +79,8 @@ class ExtractionCertificate:
             )
 
 
-def extract_apart(stream: Iterable[int]) -> Iterator[ExtractionCertificate]:
+def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
+                  ) -> Iterator[ExtractionCertificate]:
     """Thin an increasing stream into a fully apart sequence, with receipts.
 
     The first stream element is emitted as-is.  After emitting b, the next
@@ -88,6 +90,10 @@ def extract_apart(stream: Iterable[int]) -> Iterator[ExtractionCertificate]:
     The pigeonhole bounds the scan by 2**(top_bit(b)+1) + 1 prefix sums,
     so each output consumes a finite prefix.  A finite stream ends the
     sequence when it runs out.
+
+    That scan may hold 2**(top_bit(b)+1) stream elements and residues, so
+    an output whose modulus exponent top_bit(b)+1 exceeds max_bits is
+    refused with a GuardError before its scan starts.
     """
     source = iter(stream)
     first = next(source, None)
@@ -96,7 +102,10 @@ def extract_apart(stream: Iterable[int]) -> Iterator[ExtractionCertificate]:
     yield ExtractionCertificate(value=first, block=(first,), first_index=0)
     previous, position = first, 1
     while True:
-        modulus = 1 << (top_bit(previous) + 1)
+        bits = top_bit(previous) + 1
+        if bits > max_bits:
+            raise GuardError("extract_bits", max_bits, bits)
+        modulus = 1 << bits
         start = position
         window = []
         prefix = 0

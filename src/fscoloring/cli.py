@@ -10,6 +10,7 @@ set or exhausts its bound; the report records which.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness
@@ -116,12 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="'naturals' or 'arith:start:step'")
     p_extract.add_argument("--count", type=int, default=10)
     p_extract.add_argument("--out")
+    _add_guard_flags(p_extract, "extract_bits")
 
     p_verify = commands.add_parser("verify", help="recompute every claim in a report file")
     p_verify.add_argument("report")
-    _add_guard_flags(p_verify, "tree_exponent", "chain_bits", "search_combinations")
+    _add_guard_flags(p_verify, "tree_exponent", "chain_bits", "search_combinations",
+                     "extract_bits")
 
     return parser
+
+
+# One parser per process: parse_args leaves the parser as it found it.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def _stream_spec(text: str) -> dict:
@@ -187,7 +194,7 @@ def _run(args) -> int:
 
     if args.command == "apartness":
         payload = harness.run_extraction(
-            _stream_spec(args.stream), args.count, out=args.out
+            _stream_spec(args.stream), args.count, guards=guards, out=args.out
         )
         for entry in payload["outputs"]:
             print(
@@ -208,8 +215,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (GuardError, FixtureError, ValueError, OSError) as failure:

@@ -19,6 +19,7 @@ class Guards:
     blind_bound: int = 65536
     horizon: int = 24
     search_combinations: int = 5_000_000
+    extract_bits: int = 22
 
 
 class GuardError(RuntimeError):

@@ -21,6 +21,7 @@ cheap at block exponents near 60.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .dyadic import has_weak_apartness, top_bit
 from .errors import FixtureError
+from .treecolor import _absorb, _mix
 
 
 # ---------------------------------------------------------------------------
@@ -467,51 +469,69 @@ class FamilyValidation:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=4)
+def _sample_grid(seed, samples, max_index, max_point, max_param) -> tuple:
+    """validate_family's seeded probes: for each index i, a tuple of (x, a, b).
+
+    The points x are the corner points followed by 1 + _mix(seed, 1, j) %
+    max_point for each sample j; each x carries six parameter pairs
+    a = _mix(seed, 2, i, x, j) % max_param, b = _mix(seed, 3, i, x, j) %
+    max_param.  Each shared prefix of those hashes is absorbed once.
+    """
+    seeded = _mix(seed)
+    point_state, a_state, b_state = (_absorb(seeded, tag) for tag in (1, 2, 3))
+    points = (1, 2, 3, 4, 5, 8, 12, 31, 32) + tuple(
+        1 + _absorb(point_state, j) % max_point for j in range(samples))
+    grid = []
+    for i in range(max_index):
+        a_i, b_i = _absorb(a_state, i), _absorb(b_state, i)
+        probes = []
+        for x in points:
+            a_x, b_x = _absorb(a_i, x), _absorb(b_i, x)
+            probes += [(x, _absorb(a_x, j) % max_param, _absorb(b_x, j) % max_param)
+                       for j in range(6)]
+        grid.append(tuple(probes))
+    return tuple(grid)
+
+
 def validate_family(family, *, max_index=4, max_point=4096, max_param=128,
                     samples=200, seed=7) -> FamilyValidation:
     """Probe totality, value range, monotonicity and settling soundness.
 
     Exhausts a small corner of the grid and adds seeded samples inside the
-    stated bounds; violations are collected, not raised.
+    stated bounds; violations are collected, not raised.  The sample grid
+    does not depend on the family: it is a pure function of (seed,
+    samples, bounds), built once per process and shared by every family
+    validated with the same arguments.
     """
-    from .treecolor import _mix  # deterministic sampling without global RNG state
-
     violations = []
     checks = 0
     is_monotone = isinstance(family, MonotoneFamily)
+    grid = _sample_grid(seed, samples, max_index, max_point, max_param)
 
-    def sample_points():
-        corner_pts = [1, 2, 3, 4, 5, 8, 12, 31, 32]
-        for j in range(samples):
-            corner_pts.append(1 + _mix(seed, 1, j) % max_point)
-        return corner_pts
-
-    for i in range(max_index):
-        for x in sample_points():
-            for j in range(6):
-                a = _mix(seed, 2, i, x, j) % max_param
-                b = _mix(seed, 3, i, x, j) % max_param
-                checks += 1
-                value = family.evaluate(i, x, a, b)
-                if is_monotone:
-                    if not isinstance(value, int) or value < 0:
-                        violations.append(
-                            "evaluate(%d,%d,%d,%d) = %r not a count" % (i, x, a, b, value)
-                        )
-                    # separate monotonicity in y and in s
-                    if family.evaluate(i, x, a + 1, b) < value:
-                        violations.append(
-                            "decreasing in y at (%d,%d,%d,%d)" % (i, x, a, b)
-                        )
-                    if family.evaluate(i, x, a, b + 1) < value:
-                        violations.append(
-                            "decreasing in s at (%d,%d,%d,%d)" % (i, x, a, b)
-                        )
-                else:
-                    if value not in (0, 1):
-                        violations.append(
-                            "evaluate(%d,%d,%d,%d) = %r not in {0,1}" % (i, x, a, b, value)
-                        )
+    for i, probes in enumerate(grid):
+        for x, a, b in probes:
+            checks += 1
+            value = family.evaluate(i, x, a, b)
+            if is_monotone:
+                if not isinstance(value, int) or value < 0:
+                    violations.append(
+                        "evaluate(%d,%d,%d,%d) = %r not a count" % (i, x, a, b, value)
+                    )
+                # separate monotonicity in y and in s
+                if family.evaluate(i, x, a + 1, b) < value:
+                    violations.append(
+                        "decreasing in y at (%d,%d,%d,%d)" % (i, x, a, b)
+                    )
+                if family.evaluate(i, x, a, b + 1) < value:
+                    violations.append(
+                        "decreasing in s at (%d,%d,%d,%d)" % (i, x, a, b)
+                    )
+            else:
+                if value not in (0, 1):
+                    violations.append(
+                        "evaluate(%d,%d,%d,%d) = %r not in {0,1}" % (i, x, a, b, value)
+                    )
 
         # settling soundness on a small query set
         query = [x for x in range(1, 16)]

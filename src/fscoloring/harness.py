@@ -380,8 +380,10 @@ def _killer_kill(certificate):
     )
 
 
-def run_extraction(stream_spec: dict, count: int, *, out: Optional[str] = None) -> dict:
-    outputs = list(itertools.islice(apartness.extract_apart(build_stream(stream_spec)), count))
+def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
+                   out: Optional[str] = None) -> dict:
+    outputs = list(itertools.islice(
+        apartness.extract_apart(build_stream(stream_spec), max_bits=guards.extract_bits), count))
     if len(outputs) < count:
         raise FixtureError(
             "the stream ended after %d of %d extraction outputs" % (len(outputs), count)
@@ -650,7 +652,7 @@ def _extraction_detail(payload):
 # inputs, keys the re-run must reproduce, mismatch message, detail line).
 _RERUNS = {
     "extraction": (
-        lambda p, guards: run_extraction(p["stream"], int(p["count"])),
+        lambda p, guards: run_extraction(p["stream"], int(p["count"]), guards=guards),
         ("outputs",), "re-running the extraction produced different outputs",
         _extraction_detail,
     ),

@@ -125,21 +125,28 @@ def default_request() -> RequestFunction:
     return extend_request(description="default")
 
 
+def _absorb(h: int, part: int) -> int:
+    # One splitmix64-style round per 64-bit limb of part, folded into the
+    # state h; deterministic across processes and platforms.  A negative
+    # part stops after its lowest limb, since shifting never clears it.
+    p = int(part)
+    while True:
+        h = (h ^ (p & _MASK64)) & _MASK64
+        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+        h ^= h >> 27
+        h = (h * 0x94D049BB133111EB) & _MASK64
+        h ^= h >> 31
+        p >>= 64
+        if p <= 0:
+            return h
+
+
 def _mix(*parts: int) -> int:
-    # splitmix64-style mixing, folding arbitrarily wide ints 64 bits at a
-    # time; deterministic across processes and platforms.
+    # Hash of arbitrarily wide ints.  Absorbing a shared prefix of parts
+    # once and reusing the state gives the same values.
     h = 0x9E3779B97F4A7C15
     for part in parts:
-        p = int(part)
-        while True:
-            h = (h ^ (p & _MASK64)) & _MASK64
-            h = (h * 0xBF58476D1CE4E5B9) & _MASK64
-            h ^= h >> 27
-            h = (h * 0x94D049BB133111EB) & _MASK64
-            h ^= h >> 31
-            p >>= 64
-            if p == 0:
-                break
+        h = _absorb(h, part)
     return h
 
 
@@ -149,18 +156,20 @@ def random_request(seed: int) -> RequestFunction:
     The value at (n, w) depends only on (seed, n, w), so the function is
     deterministic and reproducible from the seed alone.
     """
+    seeded = _mix(seed)
 
     def fn(n, w):
-        return (1 << n) + (_mix(seed, n, w) % (1 << n))
+        return (1 << n) + (_absorb(_absorb(seeded, n), w) % (1 << n))
 
     return RequestFunction(fn, description="random(seed=%d)" % seed)
 
 
 def random_tri_request(seed: int) -> TriRequestFunction:
     """A seeded pseudorandom request factored through three coordinates."""
+    seeded = _mix(seed)
 
     def fn(n, k, s):
-        return (1 << n) + (_mix(seed, n, k, s) % (1 << n))
+        return (1 << n) + (_absorb(_absorb(_absorb(seeded, n), k), s) % (1 << n))
 
     return TriRequestFunction(fn, description="random tri(seed=%d)" % seed)
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from fscoloring import families
 from fscoloring.errors import FixtureError
 from fscoloring.families import (
     CATALOG_SETS,
@@ -19,6 +22,7 @@ from fscoloring.families import (
     monotone_from_sets,
     validate_family,
 )
+from fscoloring.treecolor import _mix
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -200,6 +204,53 @@ class TestMonotone:
         assert family.block_limit(0, 2, 5) is None
 
 
+def naive_grid(seed, samples, max_index, max_point, max_param):
+    """The sample grid from its plain definition, one full hash per value."""
+    points = [1, 2, 3, 4, 5, 8, 12, 31, 32]
+    points += [1 + _mix(seed, 1, j) % max_point for j in range(samples)]
+    return tuple(
+        tuple((x, _mix(seed, 2, i, x, j) % max_param, _mix(seed, 3, i, x, j) % max_param)
+              for x in points for j in range(6))
+        for i in range(max_index)
+    )
+
+
+def broken_monotone():
+    base = monotone_catalog("instant")
+
+    class Broken(MonotoneFamily):
+        def evaluate(self, i, x, y, s):
+            return s % 2
+
+    return Broken(base.sets, base.schedule)
+
+
+def lying_delta3():
+    base = delta3_catalog("delayed")
+
+    class Lying(Delta3Family):
+        def settle_s(self, i, k, query):
+            return 0  # real settling is at stage 5
+
+    return Lying(sets=base.sets, delay=base.delay)
+
+
+VALIDATED = {
+    **{"delta3-" + v: lambda v=v: delta3_catalog(v) for v in ("instant", "delayed", "growing")},
+    **{"pi3-" + v: lambda v=v: monotone_catalog(v) for v in ("instant", "delayed")},
+    "broken-monotone": broken_monotone,
+    "lying-delta3": lying_delta3,
+}
+
+
+# (count, sha256 prefix of the newline-joined messages) of the violations
+# the broken fixtures report; pins every message and its order.
+VIOLATION_DIGESTS = {
+    "broken-monotone": (2625, "0d31f3faba43f2e8"),
+    "lying-delta3": (240, "3742743b1bf097ec"),
+}
+
+
 class TestValidate:
     def test_clean_fixtures(self):
         for family in (delta3_catalog("instant"), delta3_catalog("delayed"),
@@ -209,26 +260,46 @@ class TestValidate:
             assert report.ok, str(report)
 
     def test_detects_non_monotone(self):
-        base = monotone_catalog("instant")
-
-        class Broken(MonotoneFamily):
-            def evaluate(self, i, x, y, s):
-                return s % 2
-
-        report = validate_family(Broken(base.sets, base.schedule))
+        report = validate_family(broken_monotone())
         assert not report.ok
         assert any("decreasing in s" in v for v in report.violations)
 
     def test_detects_wrong_settling_bound(self):
-        base = delta3_catalog("delayed")
-
-        class Lying(Delta3Family):
-            def settle_s(self, i, k, query):
-                return 0  # real settling is at stage 5
-
-        report = validate_family(Lying(sets=base.sets, delay=base.delay))
+        report = validate_family(lying_delta3())
         assert not report.ok
         assert any("disagrees with truth" in v for v in report.violations)
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("params", [
+        (7, 200, 4, 4096, 128),  # validate_family's defaults
+        (3, 17, 2, 100, 9),
+        (0, 0, 3, 1, 1),
+        (2 ** 70 + 5, 5, 1, 2 ** 65, 2 ** 66),  # parts wider than one 64-bit limb
+    ])
+    def test_matches_plain_definition(self, params):
+        assert families._sample_grid(*params) == naive_grid(*params)
+
+    @pytest.mark.parametrize("name", sorted(VALIDATED))
+    def test_validation_matches_naive_grid(self, name):
+        family = VALIDATED[name]()
+        report = validate_family(family)
+        with mock.patch.object(families, "_sample_grid", naive_grid):
+            reference = validate_family(family)
+        assert report.checks == reference.checks
+        assert report.violations == reference.violations
+        assert report.checks == (5076 if isinstance(family, MonotoneFamily) else 5376)
+        if name in VIOLATION_DIGESTS:
+            digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
+            assert (len(report.violations), digest[:16]) == VIOLATION_DIGESTS[name]
+
+    def test_grid_built_once_for_two_families(self):
+        # a lost memo shows as a second miss, with no timing involved
+        families._sample_grid.cache_clear()
+        validate_family(delta3_catalog("delayed"))
+        validate_family(monotone_catalog("instant"))
+        info = families._sample_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_delta3_family_needs_one_delay_per_set():

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,21 @@ from fscoloring.families import Delta3Family, MonotoneFamily
 from fscoloring.treecolor import popcount_coloring
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_cli(argv, timeout, **run_options):
+    """Run the command line in a new interpreter on this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
+    )
+    return subprocess.run([sys.executable, "-m", "fscoloring.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, **run_options)
+
+
+def _cap_address_space():
+    # a regressed guard then fails with MemoryError instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestSearchMono:
@@ -404,14 +420,7 @@ class TestCli:
         }
         report = tmp_path / "crafted.json"
         report.write_text(json.dumps(payload))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "fscoloring.cli", "verify", str(report)],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
+        result = fresh_cli(["verify", str(report)], timeout=30)
         assert result.returncode == 1, result.stderr
         assert "needs 2**30 sums" in result.stdout
 
@@ -523,6 +532,26 @@ class TestMalformedInput:
         ]
         assert captured.err == ""
 
+    def test_extraction_guard_bounds_memory(self):
+        # the fifth output of 3, 7, 11, ... needs residues mod 2**30; the guard
+        # refuses that scan before it starts, instead of exhausting memory
+        result = fresh_cli(["apartness", "extract", "--stream", "arith:3:4", "--count", "5"],
+                           timeout=30, preexec_fn=_cap_address_space)
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: guard 'extract_bits' exceeded: requested 30, bound 22\n")
+
+    def test_extraction_guard_flags(self, tmp_path, capsys):
+        # naturals reach modulus 2**9 at their tenth output
+        report = tmp_path / "extraction.json"
+        argv = ["apartness", "extract", "--stream", "naturals", "--count", "10"]
+        assert cli.main(argv + ["--guard-extract-bits", "8"]) == 2
+        assert "guard 'extract_bits' exceeded: requested 9, bound 8" in capsys.readouterr().err
+        assert cli.main(argv + ["--guard-extract-bits", "9", "--out", str(report)]) == 0
+        assert cli.main(["verify", str(report), "--guard-extract-bits", "8"]) == 1
+        assert "requested 9, bound 8" in capsys.readouterr().out
+        assert cli.main(["verify", str(report)]) == 0
+
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
     def test_witness_rejects_config_shape(self, name, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -542,3 +571,49 @@ class TestMalformedInput:
         lines = captured.out.splitlines()
         assert len(lines) == 2 and lines[0].startswith("verification failed: ")
         assert lines[1] == "VERIFICATION FAILED" and captured.err == ""
+
+
+class TestSharedParser:
+    """cli.main builds its parser once per process; each command must still
+    behave as in a fresh interpreter."""
+
+    def test_sequence_matches_fresh_processes(self, tmp_path, capsys):
+        config = tmp_path / "one.json"
+        harness.save_config(str(config), {"catalog": "pi3", "families": [{
+            "index": "0", "kind": "monotone",
+            "set": {"kind": "powers", "modulus": "2", "residue": "1", "min_exponent": "5"},
+        }]})
+        usage_error = ["delta3", "witness", "--index", "0", "--blind", "--bound", "16"]
+        sequence = [
+            ["eval", "--coloring", "tree-random", "--seed", "5", "--end", "40"],
+            ["tree", "check", "--max-exponent", "5", "--functions", "3"],
+            ["delta3", "witness", "--index", "1", "--blind"],
+            ["delta3", "witness", "--index", "0", "--blind", "--out", "{dir}/delta3.json"],
+            usage_error,
+            # the command after a usage error parses as in a fresh process
+            ["pi3", "witness", "--index", "0", "--config", str(config), "--product",
+             "--guard-chain-bits", "90", "--out", "{dir}/kill.json"],
+            ["verify", "{dir}/delta3.json"],
+            ["eval", "--coloring", "killer", "--end", "12"],
+            ["verify", "{dir}/kill.json", "--guard-chain-bits", "90"],
+            ["verify", "{dir}/kill.json"],
+            ["apartness", "extract", "--count", "2", "--guard-chain-bits", "90"],
+            ["tree", "check", "--max-exponent", "3", "--functions", "2", "--no-contract"],
+        ]
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        outcomes = []
+        for argv in sequence:
+            try:
+                code = cli.main([arg.format(dir=shared) for arg in argv])
+            except SystemExit as usage:
+                code = usage.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        for argv, outcome in zip(sequence, outcomes):
+            result = fresh_cli([arg.format(dir=fresh) for arg in argv], timeout=60)
+            assert outcome == (result.returncode, result.stdout, result.stderr), argv
+        assert [code for code, _out, _err in outcomes] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2, 0]
+        for name in ("delta3.json", "kill.json"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()

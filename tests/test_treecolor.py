@@ -260,6 +260,22 @@ def test_tree_coloring_table():
         TreeColoring(default_request()).table([3, 0])
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 64 + 3])
+def test_seeded_requests_follow_mix(seed):
+    # the seed is absorbed once per request function; values equal the
+    # one-shot hash of (seed, coordinates)
+    request, tri = random_request(seed), random_tri_request(seed)
+    for n, w in [(0, 2), (3, 16), (5, 1 << 70), (64, 1 << 130)]:
+        assert request(n, w) == (1 << n) + treecolor._mix(seed, n, w) % (1 << n)
+        assert tri(n, w, w + 1) == (1 << n) + treecolor._mix(seed, n, w, w + 1) % (1 << n)
+
+
+def test_negative_seeds_terminate():
+    # negative parts used to loop forever in the hash
+    assert random_request(-1)(3, 16) == (1 << 3) + treecolor._mix(2 ** 64 - 1, 3, 16) % 8
+    assert 8 <= random_tri_request(-5)(3, 2, 4) < 16
+
+
 def test_memo_request_is_pure():
     memo = MemoRequest(random_request(4))
     first = [signed_count(memo, w) for w in range(32, 64)]
