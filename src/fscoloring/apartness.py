@@ -91,9 +91,12 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
     so each output consumes a finite prefix.  A finite stream ends the
     sequence when it runs out.
 
-    That scan may hold 2**(top_bit(b)+1) stream elements and residues, so
-    an output whose modulus exponent top_bit(b)+1 exceeds max_bits is
-    refused with a GuardError before its scan starts.
+    The scan marks each residue it has met in a table of 2**(top_bit(b)+1)
+    bytes; after the repeat, the block's start is found by summing the
+    window again up to the repeated residue.  It may still hold
+    2**(top_bit(b)+1) stream elements, so an output whose modulus exponent
+    top_bit(b)+1 exceeds max_bits is refused with a GuardError before its
+    scan starts.
     """
     source = iter(stream)
     first = next(source, None)
@@ -105,24 +108,27 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
         bits = top_bit(previous) + 1
         if bits > max_bits:
             raise GuardError("extract_bits", max_bits, bits)
-        modulus = 1 << bits
+        mask = (1 << bits) - 1
         start = position
         window = []
         prefix = 0
-        seen = {0: 0}  # residue -> number of elements summed
+        seen = bytearray(mask + 1)  # residues of the prefix sums met so far
+        seen[0] = 1
         for element in source:
             position += 1
             window.append(element)
-            prefix += element
-            residue = prefix % modulus
-            if residue in seen:
-                offset = seen[residue]
+            prefix = (prefix + element) & mask
+            if seen[prefix]:
+                offset, total = 0, 0
+                while total != prefix:
+                    total = (total + window[offset]) & mask
+                    offset += 1
                 block = tuple(window[offset:])
                 previous = sum(block)
                 yield ExtractionCertificate(
                     value=previous, block=block, first_index=start + offset
                 )
                 break
-            seen[residue] = len(window)
+            seen[prefix] = 1
         else:
             return

@@ -89,7 +89,7 @@ class SetSpec:
         if self.kind == "powers":
             if x & (x - 1):
                 return False
-            e = top_bit(x)
+            e = x.bit_length() - 1
             return e >= self.min_exponent and e % self.modulus == self.residue
         for c in self.coefficients:
             if x % c:
@@ -97,7 +97,7 @@ class SetSpec:
             q = x // c
             if q & (q - 1):
                 continue
-            if top_bit(q) % self.step == 0:
+            if (q.bit_length() - 1) % self.step == 0:
                 return True
         return False
 
@@ -284,10 +284,13 @@ class Delta3Family(SetFamily):
             raise FixtureError("a delta3 family needs one delay schedule per set")
 
     def evaluate(self, i, x, k, s) -> int:
+        """Staged membership; the delay base + per_k * k of the set's
+        DelaySchedule is inlined, and a test pins it to delay(k)."""
         if not (0 <= i < self.count):
             return 0
         t = 1 if self.sets[i].contains(x) else 0
-        return t if s >= self.delay[i](k) else 1 - t
+        delay = self.delay[i]
+        return t if s >= delay.base + delay.per_k * k else 1 - t
 
     def block_first(self, i, n, k, s) -> Optional[int]:
         """Least x in the block at exponent n with evaluate(i, x, k, s) == 1,
@@ -378,12 +381,20 @@ class MonotoneFamily(SetFamily):
         self.schedule = schedule or MonotoneSchedule()
 
     def evaluate(self, i, x, y, s) -> int:
-        ramp = self.schedule.ramp(s)
-        if not (0 <= i < self.count):
+        """min(ceiling, ramp) on members, ramp elsewhere.
+
+        The schedule's ramp max(0, s - ramp_lag) and its ceiling (0 when
+        missing) are inlined, since validation probes this thousands of
+        times per family; a test pins them to ramp and ceiling_value.
+        """
+        schedule = self.schedule
+        lag = schedule.ramp_lag
+        ramp = s - lag if s > lag else 0
+        if not (0 <= i < self.count and self.sets[i].contains(x)):
             return ramp
-        if self.sets[i].contains(x):
-            return min(self.schedule.ceiling_value(i, x, y), ramp)
-        return ramp
+        ceiling = schedule.ceiling
+        value = 0 if ceiling is None else ceiling(i, x, y)
+        return ramp if ramp < value else value
 
     def block_min(self, i, n, y, s):
         """(min evaluate over the block at exponent n, least witness)."""

@@ -408,6 +408,24 @@ def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
     return _written(payload, out)
 
 
+def _extraction_inputs(payload) -> tuple:
+    """(stream spec, count) of an extraction report, checked for the shapes
+    build_stream and run_extraction read."""
+    stream, count = payload["stream"], payload["count"]
+    if not isinstance(stream, dict):
+        raise VerificationError("the extraction stream must be an object")
+    scalars = [value for key, value in stream.items() if key != "elements"]
+    if stream.get("kind") == "explicit":
+        if not isinstance(stream.get("elements"), list):
+            raise VerificationError("explicit stream elements must be a list")
+        scalars += stream["elements"]
+    if not all(isinstance(value, (str, int)) for value in scalars):
+        raise VerificationError("stream fields must be strings or integers")
+    if not (isinstance(count, str) and count.isdecimal()):
+        raise VerificationError("the extraction count must be a decimal string")
+    return stream, int(count)
+
+
 def build_stream(spec: dict):
     kind = spec.get("kind", "naturals")
     if kind == "naturals":
@@ -517,7 +535,9 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
 
 def verify_report(payload: dict, guards: Guards = Guards()):
     """Recompute every claim in a report; returns (ok, detail lines)."""
-    kind = payload.get("report")
+    kind = payload.get("report") if isinstance(payload, dict) else None
+    if not isinstance(kind, str):
+        return False, ["verification failed: a report is an object with a string kind"]
     verifier = {
         "delta3-witness": _verify_delta3,
         "pi3-witness": _verify_pi3,
@@ -652,7 +672,7 @@ def _extraction_detail(payload):
 # inputs, keys the re-run must reproduce, mismatch message, detail line).
 _RERUNS = {
     "extraction": (
-        lambda p, guards: run_extraction(p["stream"], int(p["count"]), guards=guards),
+        lambda p, guards: run_extraction(*_extraction_inputs(p), guards=guards),
         ("outputs",), "re-running the extraction produced different outputs",
         _extraction_detail,
     ),

@@ -19,6 +19,7 @@ from fscoloring.dyadic import (
     low_bit,
     top_bit,
 )
+from fscoloring.errors import GuardError
 
 
 @pytest.mark.parametrize(
@@ -194,3 +195,62 @@ def test_extraction_random_streams(increments):
             for j in range(certificate.first_index, certificate.first_index + len(certificate.block))
         )
         assert chunk == certificate.block
+
+
+def dict_scan_extraction(stream, max_bits):
+    """The residue-dict scan extract_apart used before its byte table: the
+    reference the byte-table scan must reproduce, element for element."""
+    source = iter(stream)
+    first = next(source, None)
+    if first is None:
+        return
+    yield apartness.ExtractionCertificate(value=first, block=(first,), first_index=0)
+    previous, position = first, 1
+    while True:
+        bits = top_bit(previous) + 1
+        if bits > max_bits:
+            raise GuardError("extract_bits", max_bits, bits)
+        modulus = 1 << bits
+        start = position
+        window = []
+        prefix = 0
+        seen = {0: 0}  # residue -> number of elements summed
+        for element in source:
+            position += 1
+            window.append(element)
+            prefix += element
+            residue = prefix % modulus
+            if residue in seen:
+                offset = seen[residue]
+                block = tuple(window[offset:])
+                previous = sum(block)
+                yield apartness.ExtractionCertificate(
+                    value=previous, block=block, first_index=start + offset
+                )
+                break
+            seen[residue] = len(window)
+        else:
+            return
+
+
+def run_scan(certificates):
+    """Every certificate up to the end of the stream, then how it ended."""
+    out = []
+    try:
+        for certificate in certificates:
+            out.append(certificate)
+    except (ValueError, GuardError) as failure:  # outputs below 1 have no top bit
+        return out, type(failure), str(failure)
+    return out, None, None
+
+
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.integers(min_value=-30, max_value=300), max_size=300),
+       st.integers(min_value=6, max_value=14))
+@settings(max_examples=200, deadline=None)
+def test_byte_table_scan_matches_dict_scan(first, rest, max_bits):
+    # explicit streams need not increase: zero and negative elements included;
+    # a small first element lets most draws finish a scan or two
+    elements = [first, *rest]
+    assert run_scan(extract_apart(iter(elements), max_bits)) == run_scan(
+        dict_scan_extraction(iter(elements), max_bits))

@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscoloring import families
 from fscoloring.errors import FixtureError
@@ -204,6 +207,77 @@ class TestMonotone:
         assert family.block_limit(0, 2, 5) is None
 
 
+def plain_contains(spec, x):
+    """SetSpec membership read off the binary numeral of x."""
+    def power_exponent(q):  # e when q == 2**e, else None
+        digits = bin(q)[2:] if q >= 1 else ""
+        return len(digits) - 1 if digits == "1" + "0" * (len(digits) - 1) else None
+
+    if spec.kind == "explicit":
+        return x in spec.elements
+    if spec.kind == "powers":
+        e = power_exponent(x)
+        return e is not None and e >= spec.min_exponent and e % spec.modulus == spec.residue
+    return any(
+        x >= 1 and x % c == 0 and power_exponent(x // c) is not None
+        and power_exponent(x // c) % spec.step == 0
+        for c in spec.coefficients
+    )
+
+
+set_specs = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=1 << 13), max_size=6).map(SetSpec.explicit),
+    st.integers(min_value=1, max_value=5).flatmap(lambda m: st.builds(
+        SetSpec.powers, st.just(m), st.integers(min_value=0, max_value=m - 1),
+        st.integers(min_value=0, max_value=12))),
+    st.builds(SetSpec.coeff_powers,
+              st.lists(st.integers(min_value=1, max_value=48), min_size=1, max_size=4),
+              st.integers(min_value=1, max_value=4)),
+)
+points = st.one_of(
+    st.just(0),
+    st.integers(max_value=-1),
+    st.integers(min_value=1, max_value=1 << 13),
+    st.integers(min_value=-(1 << 13), max_value=1 << 13).map(lambda d: (1 << 200) + d),
+    st.builds(lambda c, e: c << e, st.integers(min_value=1, max_value=48),
+              st.integers(min_value=190, max_value=210)),
+)
+ceilings = st.sampled_from([
+    None,
+    lambda i, x, y: 2,
+    lambda i, x, y: (i + y) // 2,
+    lambda i, x, y: y * y + x % 5,
+])
+
+
+@given(set_specs, points)
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_definition(spec, x):
+    assert spec.contains(x) == plain_contains(spec, x)
+
+
+@given(st.lists(set_specs, max_size=3), st.integers(min_value=-2, max_value=4), points,
+       st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3),
+       ceilings, st.integers(min_value=0, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_schedules(specs, i, x, k, s, base, per_k, ceiling, ramp_lag):
+    # evaluate inlines delay(k), ramp and ceiling_value; the reference calls them
+    inside = 0 <= i < len(specs)
+    member = inside and plain_contains(specs[i], x)
+    delta3 = Delta3Family(specs, [DelaySchedule(base + j, per_k) for j in range(len(specs))])
+    staged = 0
+    if inside:
+        staged = int(member) if s >= delta3.delay[i](k) else 1 - int(member)
+    assert delta3.evaluate(i, x, k, s) == staged
+    schedule = MonotoneSchedule(ceiling=ceiling, ramp_lag=ramp_lag)
+    monotone = MonotoneFamily(specs, schedule)
+    y = k  # the counting argument reuses the draw of k
+    ramp = schedule.ramp(s)
+    count = min(schedule.ceiling_value(i, x, y), ramp) if member else ramp
+    assert monotone.evaluate(i, x, y, s) == count
+
+
 def naive_grid(seed, samples, max_index, max_point, max_param):
     """The sample grid from its plain definition, one full hash per value."""
     points = [1, 2, 3, 4, 5, 8, 12, 31, 32]
@@ -258,6 +332,29 @@ class TestValidate:
                        monotone_catalog("delayed")):
             report = validate_family(family)
             assert report.ok, str(report)
+
+    @pytest.mark.parametrize("catalog, variant", [
+        ("delta3", "instant"), ("delta3", "delayed"), ("delta3", "growing"),
+        ("pi3", "instant"), ("pi3", "delayed"),
+    ])
+    def test_probe_counts(self, catalog, variant):
+        # the work validation does per family, as a count: a lost or extra
+        # probe shows here with no timing involved
+        family = build_family(families.default_config(catalog, variant))
+
+        class Counting(type(family)):
+            calls = 0
+
+            def evaluate(self, *args):
+                Counting.calls += 1
+                return super().evaluate(*args)
+
+        counted = copy.copy(family)
+        counted.__class__ = Counting
+        report = validate_family(counted)
+        assert report.ok
+        assert (Counting.calls, report.checks) == (
+            (5376, 5376) if catalog == "delta3" else (15176, 5076))
 
     def test_detects_non_monotone(self):
         report = validate_family(broken_monotone())

@@ -17,13 +17,14 @@ from fscoloring.treecolor import popcount_coloring
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_cli(argv, timeout, **run_options):
-    """Run the command line in a new interpreter on this checkout's src/."""
+def fresh_cli(argv, timeout, prefix=(), **run_options):
+    """Run the command line in a new interpreter on this checkout's src/,
+    behind the arguments in prefix, if any."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
     )
-    return subprocess.run([sys.executable, "-m", "fscoloring.cli", *argv], env=env,
+    return subprocess.run([*prefix, sys.executable, "-m", "fscoloring.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout, **run_options)
 
 
@@ -541,6 +542,20 @@ class TestMalformedInput:
         assert result.stderr == (
             "error: guard 'extract_bits' exceeded: requested 30, bound 22\n")
 
+    def test_extraction_memory(self):
+        # the twelfth output of 1, 4, 7, ... scans 1.4M elements for residues
+        # mod 2**21, which a 2 MB byte table holds.  A wrapper interpreter runs
+        # the command as its only child, so RUSAGE_CHILDREN is that command's.
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        result = fresh_cli(["apartness", "extract", "--stream", "arith:1:3", "--count", "12"],
+                           timeout=120, prefix=(sys.executable, "-c", wrapper), check=True)
+        peak_kib = int(result.stdout)  # ru_maxrss is in KiB on Linux
+        assert peak_kib < 100 * 1024
+
     def test_extraction_guard_flags(self, tmp_path, capsys):
         # naturals reach modulus 2**9 at their tenth output
         report = tmp_path / "extraction.json"
@@ -571,6 +586,41 @@ class TestMalformedInput:
         lines = captured.out.splitlines()
         assert len(lines) == 2 and lines[0].startswith("verification failed: ")
         assert lines[1] == "VERIFICATION FAILED" and captured.err == ""
+
+
+EXTRACTION_MUTATIONS = [
+    (field, value)
+    for field in ("report", "claim", "stream", "count", "outputs")
+    for value in ([], None, "x", {"a": 1}, 5)
+] + [
+    ("stream", {"kind": "explicit", "elements": "1,2"}),
+    ("stream", {"kind": "explicit", "elements": ["1", None]}),
+    ("stream", {"kind": "arithmetic", "start": [], "step": "3"}),
+    ("stream", {"kind": ["explicit"]}),
+]
+
+
+@pytest.mark.parametrize("field, value", EXTRACTION_MUTATIONS)
+def test_verify_mutated_extraction_report(field, value, tmp_path, capsys):
+    # every top-level field of an extraction report set to each JSON shape in
+    # turn, and malformed stream fields: verify answers with one line and
+    # exit 0 or 1, never a traceback
+    payload = harness.run_extraction({"kind": "arithmetic", "start": "1", "step": "3"}, 4)
+    payload[field] = value
+    report = tmp_path / "extraction.json"
+    report.write_text(json.dumps(payload))
+    code = cli.main(["verify", str(report)])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 2
+    if field == "claim":  # a note that verify never reads
+        assert code == 0 and lines == ["4 extraction outputs re-verified", "VERIFIED"]
+        return
+    assert code == 1 and lines[1] == "VERIFICATION FAILED"
+    if (field, value) == ("report", "x"):
+        assert lines[0] == "unknown report kind 'x'"
+    else:
+        assert lines[0].startswith("verification failed: ")
 
 
 class TestSharedParser:
