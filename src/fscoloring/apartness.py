@@ -92,11 +92,12 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
     sequence when it runs out.
 
     The scan marks each residue it has met in a table of 2**(top_bit(b)+1)
-    bytes; after the repeat, the block's start is found by summing the
-    window again up to the repeated residue.  It may still hold
-    2**(top_bit(b)+1) stream elements, so an output whose modulus exponent
-    top_bit(b)+1 exceeds max_bits is refused with a GuardError before its
-    scan starts.
+    bytes; after the repeat, the block's start is found by walking back from
+    the repeat, summing the window's tail until it vanishes mod
+    2**(top_bit(b)+1), so finding it costs one step per block element, not
+    one per window element before the block.  The window may still hold 2**(top_bit(b)+1)
+    stream elements, so an output whose modulus exponent top_bit(b)+1
+    exceeds max_bits is refused with a GuardError before its scan starts.
     """
     source = iter(stream)
     first = next(source, None)
@@ -119,10 +120,15 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
             window.append(element)
             prefix = (prefix + element) & mask
             if seen[prefix]:
-                offset, total = 0, 0
-                while total != prefix:
+                # the earlier prefix sums are pairwise distinct, so the
+                # first nonempty tail summing to 0 mod 2**bits, walking
+                # back from the repeat, starts at the one that repeated
+                offset, total = len(window), 0
+                while True:
+                    offset -= 1
                     total = (total + window[offset]) & mask
-                    offset += 1
+                    if not total:
+                        break
                 block = tuple(window[offset:])
                 previous = sum(block)
                 yield ExtractionCertificate(

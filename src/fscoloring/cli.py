@@ -3,14 +3,15 @@
 Subcommands: eval, tree check, search-mono, delta3 witness, pi3 witness,
 apartness extract, verify.  Exit codes: 0 success/verified, 1 a claimed
 property failed to verify or a witness search came up empty, 2 usage,
-configuration or guard errors.  search-mono exits 0 whether it finds a
-set or exhausts its bound; the report records which.
+configuration or guard errors, or memory run out.  search-mono exits 0
+whether it finds a set or exhausts its bound; the report records which.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import harness
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     apart_sub = p_apart.add_subparsers(dest="apartness_command", required=True)
     p_extract = apart_sub.add_parser("extract", help="thin a stream to an apart sequence")
     p_extract.add_argument("--stream", default="naturals",
-                           help="'naturals' or 'arith:start:step'")
+                           help="'naturals' or 'arith:START:STEP'")
     p_extract.add_argument("--count", type=int, default=10)
     p_extract.add_argument("--out")
     _add_guard_flags(p_extract, "extract_bits")
@@ -134,10 +135,12 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 def _stream_spec(text: str) -> dict:
     if text == "naturals":
         return {"kind": "naturals"}
-    if text.startswith("arith:"):
-        _, start, step = text.split(":")
-        return {"kind": "arithmetic", "start": start, "step": step}
-    raise FixtureError("unknown stream %r" % (text,))
+    arithmetic = re.fullmatch(r"arith:([+-]?\d+):([+-]?\d+)", text)
+    if arithmetic:
+        return {"kind": "arithmetic", "start": arithmetic[1], "step": arithmetic[2]}
+    raise FixtureError(
+        "unknown stream %r: expected 'naturals' or 'arith:START:STEP' with integer "
+        "START and STEP" % (text,))
 
 
 def _run(args) -> int:
@@ -224,6 +227,9 @@ def main(argv=None) -> int:
     except (VerificationError, WitnessSearchError) as failure:
         print("error: %s" % failure, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

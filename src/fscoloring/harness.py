@@ -382,6 +382,8 @@ def _killer_kill(certificate):
 
 def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
                    out: Optional[str] = None) -> dict:
+    if count < 0:
+        raise FixtureError("the extraction count must be nonnegative, got %d" % count)
     outputs = list(itertools.islice(
         apartness.extract_apart(build_stream(stream_spec), max_bits=guards.extract_bits), count))
     if len(outputs) < count:

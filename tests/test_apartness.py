@@ -197,6 +197,33 @@ def test_extraction_random_streams(increments):
         assert chunk == certificate.block
 
 
+class CountedInt(int):
+    """An int that counts the additions it is the right operand of."""
+
+    additions = 0
+
+    def __radd__(self, other):
+        CountedInt.additions += 1
+        return int(other) + int(self)
+
+
+@pytest.mark.parametrize("start, step, outputs, longest_block",
+                         [(1, 3, 6, 1), (1, 2, 5, 2), (5, 2, 5, 8)])
+def test_extraction_work_scales_with_blocks(start, step, outputs, longest_block):
+    # one addition per element scanned, then two per block element: one on
+    # the walk back to the block's start, one in its sum.  The window before
+    # the block (255 elements before the sixth output of 1, 4, 7, ...) costs
+    # nothing more after its scan.
+    source = (CountedInt(x) for x in count(start, step))
+    CountedInt.additions = 0
+    certificates = list(islice(extract_apart(source), outputs))
+    last = certificates[-1]
+    scanned = last.first_index + len(last.block) - 1  # every element after the first
+    assert max(len(c.block) for c in certificates) == longest_block
+    assert CountedInt.additions == scanned + 2 * sum(len(c.block) for c in certificates[1:])
+    assert next(source) == start + step * (scanned + 1)  # nothing read past the last block
+
+
 def dict_scan_extraction(stream, max_bits):
     """The residue-dict scan extract_apart used before its byte table: the
     reference the byte-table scan must reproduce, element for element."""

@@ -542,6 +542,27 @@ class TestMalformedInput:
         assert result.stderr == (
             "error: guard 'extract_bits' exceeded: requested 30, bound 22\n")
 
+    def test_extraction_out_of_memory(self):
+        # a raised guard admits the 2**30-byte residue table of that fifth
+        # output; under a 1 GB address space its allocation fails, and the
+        # command says so in one line
+        result = fresh_cli(["apartness", "extract", "--stream", "arith:3:4", "--count", "5",
+                            "--guard-extract-bits", "30"],
+                           timeout=30, preexec_fn=_cap_address_space)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--stream", "arith:1"], "unknown stream 'arith:1': expected 'naturals' or "
+                                  "'arith:START:STEP' with integer START and STEP"),
+        (["--stream", "arith:a:3"], "unknown stream 'arith:a:3': expected 'naturals' or "
+                                    "'arith:START:STEP' with integer START and STEP"),
+        (["--count", "-1"], "the extraction count must be nonnegative, got -1"),
+    ])
+    def test_extraction_input_errors(self, argv, message, capsys):
+        assert cli.main(["apartness", "extract", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
     def test_extraction_memory(self):
         # the twelfth output of 1, 4, 7, ... scans 1.4M elements for residues
         # mod 2**21, which a 2 MB byte table holds.  A wrapper interpreter runs
