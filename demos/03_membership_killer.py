@@ -29,7 +29,7 @@ print()
 print("Candidate sets at stage parameters (k=3, s=6): the first 2^i block")
 print("exponents where family i currently looks inhabited:")
 for i in range(3):
-    print("  family %d -> %r" % (i, candidate_set(family, i, 3, 6).members))
+    print("  family %d -> %r" % (i, candidate_set(family, i, 3, 6)))
 
 print()
 print("For w = 40 (low bit 3, top bit 5) the chooser and request give:")

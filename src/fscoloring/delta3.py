@@ -10,7 +10,9 @@ of the block, so colorings stay cheap at top bits near 60.  Feeding the
 request function to the tree coloring yields a two-coloring that, for
 every fixture set that is infinite and weakly apart, colors two of its
 finite sums differently; the witness finders below reproduce that on
-concrete fixtures and return fully re-verified reports.
+concrete fixtures and return fully re-verified reports.  A candidate set
+and its truth limit are one scan (_first_inhabited), read through the
+staged block indicator and through the truth set's block members.
 """
 
 from __future__ import annotations
@@ -29,30 +31,21 @@ def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int) -> int
     return int(family.block_first(i, n, k, s) is not None)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """The first (at most) 2**i staged-nonempty block exponents in (i, s)."""
-
-    index: int
-    k: int
-    s: int
-    members: tuple
-
-    def __contains__(self, n):
-        return n in self.members
-
-
-def candidate_set(family: Delta3Family, i: int, k: int, s: int) -> CandidateSet:
-    """Collect up to 2**i exponents n in the open interval (i, s) whose
-    block currently looks inhabited by family i."""
-    quota = 1 << i
-    members = []
-    for n in range(i + 1, s):
-        if block_indicator(family, i, n, k, s):
-            members.append(n)
-            if len(members) == quota:
+def _first_inhabited(i: int, stop: int, inhabited) -> tuple:
+    """The first (at most) 2**i exponents n in (i, stop) with inhabited(n)."""
+    found = []
+    for n in range(i + 1, stop):
+        if inhabited(n):
+            found.append(n)
+            if len(found) == 1 << i:
                 break
-    return CandidateSet(index=i, k=k, s=s, members=tuple(members))
+    return tuple(found)
+
+
+def candidate_set(family: Delta3Family, i: int, k: int, s: int) -> tuple:
+    """Up to 2**i exponents n in the open interval (i, s) whose block
+    currently looks inhabited by family i."""
+    return _first_inhabited(i, s, lambda n: block_indicator(family, i, n, k, s))
 
 
 def chooser_at_stages(family: Delta3Family, n: int, k: int, s: int) -> int:
@@ -103,12 +96,9 @@ def candidate_limit(family: Delta3Family, i: int,
     raises if the horizon is exhausted first (finite or too-sparse truth).
     """
     quota = 1 << i
-    members = []
-    for n in range(i + 1, horizon + 1):
-        if family.block_members(i, n):
-            members.append(n)
-            if len(members) == quota:
-                return tuple(members)
+    members = _first_inhabited(i, horizon + 1, lambda n: family.block_members(i, n))
+    if len(members) == quota:
+        return members
     raise WitnessSearchError(
         "only %d of %d inhabited blocks above %d found up to horizon %d"
         % (len(members), quota, i, horizon),
@@ -134,7 +124,7 @@ def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = Gua
         s_floor = max(family.settle_s(i, k, query), big_n)
         for ds in sample_offsets:
             s = s_floor + ds
-            staged = candidate_set(family, i, k, s).members
+            staged = candidate_set(family, i, k, s)
             if staged != limit:
                 raise VerificationError(
                     "candidate set at (k=%d, s=%d) is %r, truth limit is %r"

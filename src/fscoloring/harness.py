@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -556,6 +557,30 @@ def verify_report(payload: dict, guards: Guards = Guards()):
     return True, details
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(value, name: str) -> int:
+    """An integer field of a report, which must be a decimal string."""
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        raise VerificationError("field %s is not a decimal string: %.40r" % (name, value))
+    return int(value)
+
+
+def _shaped(value, kind, name: str):
+    """A list (kind list) or JSON object (kind dict) field of a report."""
+    if not isinstance(value, kind):
+        raise VerificationError("field %s is not a %s: %.40r"
+                                % (name, "list" if kind is list else "JSON object", value))
+    return value
+
+
+def _decimals(values, name: str) -> tuple:
+    """A list field of decimal strings, read as integers."""
+    return tuple(_decimal(value, "%s[%d]" % (name, j))
+                 for j, value in enumerate(_shaped(values, list, name)))
+
+
 def _report_family(payload, family_type):
     family = build_family(payload["config"])
     if not isinstance(family, family_type):
@@ -566,18 +591,15 @@ def _report_family(payload, family_type):
 def _verify_delta3(payload, guards):
     family = _report_family(payload, Delta3Family)
     witness = delta3.Delta3Witness(
-        index=int(payload["index"]),
-        x=int(payload["x"]), w1=int(payload["w1"]), w2=int(payload["w2"]),
-        color_sum=int(payload["color_sum"]),
-        color_sum_with_x=int(payload["color_sum_with_x"]),
+        **{key: _decimal(payload[key], key) for key in (
+            "index", "x", "w1", "w2", "color_sum", "color_sum_with_x")},
         mode=payload["mode"],
     )
-    if witness.sum != int(payload["sum"]) or witness.sum_with_x != int(payload["sum_with_x"]):
+    claimed = tuple(_decimal(payload[key], key) for key in ("sum", "sum_with_x"))
+    if claimed != (witness.sum, witness.sum_with_x):
         raise VerificationError("claimed sums are inconsistent with x, w1, w2")
-    _check_certificate(family, witness.index, payload["certificates"]["sum"], witness.sum)
-    _check_certificate(
-        family, witness.index, payload["certificates"]["sum_with_x"], witness.sum_with_x
-    )
+    _check_certificates(payload, family, witness.index,
+                        {"sum": witness.sum, "sum_with_x": witness.sum_with_x})
     delta3.verify_witness(family, witness)
     return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)]
 
@@ -585,47 +607,42 @@ def _verify_delta3(payload, guards):
 def _verify_pi3(payload, guards):
     family = _report_family(payload, MonotoneFamily)
     witness = pi3.Pi3Witness(
-        index=int(payload["index"]),
-        block_exponent=int(payload["block_exponent"]),
-        x=int(payload["x"]), w=int(payload["w"]),
-        color_w=int(payload["color_w"]),
-        color_w_plus_x=int(payload["color_w_plus_x"]),
-        chain=tuple(int(x) for x in payload["chain"]),
-        sums=tuple(int(x) for x in payload["sums"]),
-        requests=tuple(int(x) for x in payload["requests"]),
+        **{key: _decimal(payload[key], key) for key in (
+            "index", "block_exponent", "x", "w", "color_w", "color_w_plus_x")},
+        **{key: _decimals(payload[key], key) for key in ("chain", "sums", "requests")},
         mode=payload["mode"],
     )
-    _check_certificate(family, witness.index, payload["certificates"]["w"], witness.w)
-    _check_certificate(
-        family, witness.index, payload["certificates"]["w_plus_x"], witness.w + witness.x
-    )
+    _check_certificates(payload, family, witness.index,
+                        {"w": witness.w, "w_plus_x": witness.w + witness.x})
     pi3.verify_witness(family, witness, chain_bits=guards.chain_bits)
     return ["witness (n=%d, x=%d, w=%d) re-verified" % (witness.block_exponent, witness.x, witness.w)]
 
 
-def _check_certificate(family, index, terms, total) -> None:
-    values = [int(t) for t in terms]
-    if sum(values) != total:
-        raise VerificationError("certificate terms sum to %d, not %d" % (sum(values), total))
-    if len(set(values)) != len(values):
-        raise VerificationError("certificate terms repeat")
-    for value in values:
-        if not family.truth(index, value):
-            raise VerificationError("certificate term %d outside fixture %d" % (value, index))
+def _check_certificates(payload, family, index, totals) -> None:
+    """Each certificate named in totals lists distinct fixture members that
+    sum to its total."""
+    certificates = _shaped(payload["certificates"], dict, "certificates")
+    for key, total in totals.items():
+        values = _decimals(certificates[key], "certificates.%s" % key)
+        if sum(values) != total:
+            raise VerificationError("certificate terms sum to %d, not %d" % (sum(values), total))
+        if len(set(values)) != len(values):
+            raise VerificationError("certificate terms repeat")
+        for value in values:
+            if not family.truth(index, value):
+                raise VerificationError("certificate term %d outside fixture %d" % (value, index))
 
 
 def _verify_product_kill(payload, guards):
     family = build_family(payload["config"])
-    index = int(payload["index"])
-    u, v = int(payload["u"]), int(payload["v"])
+    index, u, v = (_decimal(payload[key], key) for key in ("index", "u", "v"))
     prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
     cu, cv = prod(u), prod(v)
     if [str(c) for c in cu] != payload["color_u"] or [str(c) for c in cv] != payload["color_v"]:
         raise VerificationError("recomputed product colors differ from report")
     if cu == cv:
         raise VerificationError("product colors agree")
-    _check_certificate(family, index, payload["certificates"]["u"], u)
-    _check_certificate(family, index, payload["certificates"]["v"], v)
+    _check_certificates(payload, family, index, {"u": u, "v": v})
     details = ["product kill of fixture %d via %s branch re-verified" % (index, payload["branch"])]
     if "witness" in payload:
         ok, inner = verify_report(payload["witness"], guards)
@@ -646,10 +663,22 @@ def _verify_rerun(payload, guards):
 
 
 def _rerun_search(payload, guards):
-    spec = payload["coloring"]
-    max_terms = None if payload["max_terms"] == "unbounded" else int(payload["max_terms"])
-    return search_report(spec, max_terms, int(payload["bound"]), int(payload["size"]),
-                         guards=guards)
+    bound, size = (_decimal(payload[key], key) for key in ("bound", "size"))
+    max_terms = payload["max_terms"]
+    max_terms = None if max_terms == "unbounded" else _decimal(max_terms, "max_terms")
+    coloring = _shaped(payload["coloring"], dict, "coloring")
+    return search_report(coloring, max_terms, bound, size, guards=guards)
+
+
+def _rerun_eval(payload, guards):
+    """Re-run an eval table after checking that it lists one value per
+    vertex of its range, so verify never evaluates more vertices than the
+    report holds."""
+    start, end = (_decimal(payload[key], key) for key in ("start", "end"))
+    values, size = payload["values"], max(0, end - start + 1)
+    if not (isinstance(values, list) and len(values) == size):
+        raise VerificationError("field values must list one entry per vertex, %d in all" % size)
+    return eval_table(_shaped(payload["coloring"], dict, "coloring"), start, end)
 
 
 def _extraction_detail(payload):
@@ -683,14 +712,13 @@ _RERUNS = {
         lambda p: "search outcome %r re-verified" % p["outcome"],
     ),
     "eval-table": (
-        lambda p, guards: eval_table(p["coloring"], int(p["start"]), int(p["end"])),
-        ("values",), "recomputed table differs",
+        _rerun_eval, ("arity", "values"), "recomputed table differs",
         lambda p: "%d table entries re-verified" % len(p["values"]),
     ),
     "tree-check": (
         lambda p, guards: tree_check_report(
-            int(p["max_exponent"]), int(p["functions"]), int(p["seed"]),
-            [int(m) for m in p["moduli"]], contract=p["contract"], guards=guards,
+            *(_decimal(p[key], key) for key in ("max_exponent", "functions", "seed")),
+            _decimals(p["moduli"], "moduli"), contract=p["contract"], guards=guards,
         ),
         ("results", "ok"), "recomputed tree check differs",
         lambda p: "tree check re-verified (ok=%s)" % p["ok"],

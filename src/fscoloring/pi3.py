@@ -14,7 +14,10 @@ two-coloring then separates two finite sums of the fixture.
 
 Each run builds one Pi3Engine, which holds the construction's only
 memos: the staged index table and the stable indices.  Recomputation
-yields identical values, so the memos are observationally pure.
+yields identical values, so the memos are observationally pure.  One
+priority recurrence (_priority) fills both, read at finite stages
+through block minima (mins of the family's evaluate) and in the limit
+through block members; check_stage_settling compares the two readings.
 """
 
 from __future__ import annotations
@@ -38,6 +41,21 @@ def guess_element(family, i, n, y, s) -> int:
     return family.block_min(i, n, y, s)[1]
 
 
+def _priority(memo, key, n, claims) -> Optional[int]:
+    """Fill memo[key(m)] for m = 1..n, in increasing m, and return the
+    entry at n: the least i < m with claims(i, m) that no smaller
+    exponent took, else None."""
+    taken = set()
+    for m in range(1, n + 1):
+        entry = key(m)
+        if entry not in memo:
+            memo[entry] = next(
+                (i for i in range(m) if i not in taken and claims(i, m)), None)
+        if memo[entry] is not None:
+            taken.add(memo[entry])
+    return memo[entry]
+
+
 class Pi3Engine:
     """One run's request synthesizer over a monotone family.
 
@@ -57,53 +75,29 @@ class Pi3Engine:
         self.stable = {}
 
     def stage_index(self, n, y, k, s) -> Optional[int]:
-        """Priority index over the domain 0 < n < y <= k <= s.
-
-        The least family index below n whose block bound sits below k and
-        which no smaller exponent of the same column has claimed; None
-        encodes "no index".  Columns are filled in increasing n, so the
-        exclusion clause always refers to already-fixed entries.
-        """
+        """Priority index over the domain 0 < n < y <= k <= s: the
+        priority recurrence over the indices whose block bound sits below
+        k at (y, s); None encodes "no index"."""
+        key = (n, y, k, s)
+        if key in self.table:
+            return self.table[key]
         if not (0 < n < y <= k <= s):
             raise ValueError(
                 "stage index needs 0 < n < y <= k <= s, got (n=%r, y=%r, k=%r, s=%r)"
                 % (n, y, k, s)
             )
-        if (n, y, k, s) not in self.table:
-            taken = set()
-            for m in range(1, n + 1):
-                key = (m, y, k, s)
-                if key not in self.table:
-                    self.table[key] = next(
-                        (i for i in range(m)
-                         if i not in taken and guess_bound(self.family, i, m, y, s) < k),
-                        None,
-                    )
-                if self.table[key] is not None:
-                    taken.add(self.table[key])
-        return self.table[(n, y, k, s)]
+        family = self.family
+        return _priority(self.table, lambda m: (m, y, k, s), n,
+                         lambda i, m: guess_bound(family, i, m, y, s) < k)
 
     def stable_index(self, n) -> Optional[int]:
-        """Limit priority index at exponent n, computed from truth.
-
-        The recurrence assigns to each exponent the least family index whose
-        truth set meets the block and which no smaller exponent has already
-        taken.
-        """
+        """Limit priority index at exponent n: the priority recurrence over
+        the indices whose truth set meets the block."""
+        if n in self.stable:
+            return self.stable[n]
         if n < 1:
             raise ValueError("exponents start at 1, got %r" % (n,))
-        if n not in self.stable:
-            taken = set()
-            for m in range(1, n + 1):
-                if m not in self.stable:
-                    self.stable[m] = next(
-                        (i for i in range(min(m, self.family.count))
-                         if i not in taken and self.family.block_members(i, m)),
-                        None,
-                    )
-                if self.stable[m] is not None:
-                    taken.add(self.stable[m])
-        return self.stable[n]
+        return _priority(self.stable, lambda m: m, n, self.family.block_members)
 
     def q(self, n, y, k, s) -> int:
         """The guess request: chosen family's guess element of the block at
@@ -192,7 +186,7 @@ def _column_requirements(engine, n, y) -> Tuple[int, bool]:
         for i in range(m):
             if i in assigned:
                 continue
-            limit = family.block_limit(i, m, y) if i < family.count else None
+            limit = family.block_limit(i, m, y)
             if limit is None:
                 need_ramp = True
             else:
@@ -280,14 +274,13 @@ def _oracle_chain(engine, i, n, count, floor):
             bound=chain_bits, quantifier=what,
         )
 
+    def link_after(prev):
+        k_thr, _ = _column_requirements(engine, n, top_bit(prev))
+        return lambda x: dyadic.apart(prev, x) and low_bit(x) > k_thr
+
     chain.append(advance(lambda x: low_bit(x) > floor, "chain start"))
     while len(chain) < count:
-        prev = chain[-1]
-        k_thr, _ = _column_requirements(engine, n, top_bit(prev))
-        chain.append(advance(
-            lambda x: dyadic.apart(prev, x) and low_bit(x) > k_thr,
-            "link %d" % len(chain),
-        ))
+        chain.append(advance(link_after(chain[-1]), "link %d" % len(chain)))
 
     # Stretch the last element until the final stage satisfies every link.
     while True:
@@ -300,12 +293,7 @@ def _oracle_chain(engine, i, n, count, floor):
                 "final element with stage %d" % stage_needed,
             )
             continue
-        prev = chain[-2]
-        k_thr, _ = _column_requirements(engine, n, top_bit(prev))
-        chain[-1] = advance(
-            lambda x: dyadic.apart(prev, x) and low_bit(x) > k_thr,
-            "final element with stage %d" % stage_needed,
-        )
+        chain[-1] = advance(link_after(chain[-2]), "final element with stage %d" % stage_needed)
     return chain
 
 
@@ -388,7 +376,7 @@ def distinct_requests(engine, i, n, *, mode="oracle") -> RequestSpread:
         if low_bit(w) <= n:
             raise VerificationError("suffix sum %d has low bit at or below %d" % (w, n))
     requests = tuple(engine.request(n, w) for w in sums)
-    counts = [engine.base_count(n, w) for w in sums]
+    counts = [r - size for r in requests]
     for j in range(size - 1):
         if (counts[j] - counts[j + 1]) % size != 1:
             raise VerificationError(
@@ -437,11 +425,7 @@ def find_witness(family, i, *, mode="oracle",
             "fixture %d is not weakly apart on the horizon: %r" % (i, certificate),
             bound=horizon, quantifier="weak apartness",
         )
-    n = None
-    for candidate in range(1, max_request_exponent + 1):
-        if engine.stable_index(candidate) == i:
-            n = candidate
-            break
+    n = next((m for m in range(1, max_request_exponent + 1) if engine.stable_index(m) == i), None)
     if n is None:
         raise WitnessSearchError(
             "fixture %d claims no exponent up to %d" % (i, max_request_exponent),
@@ -455,11 +439,7 @@ def find_witness(family, i, *, mode="oracle",
             % (n, block_members)
         )
     x = block_members[0]
-    w = None
-    for candidate_w, value in spread.pairs():
-        if value == x:
-            w = candidate_w
-            break
+    w = next((w for w, value in spread.pairs() if value == x), None)
     if w is None:
         raise VerificationError("no suffix sum is requested at %d" % x)
     color = engine.coloring()

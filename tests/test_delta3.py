@@ -23,15 +23,15 @@ class TestBlockIndicator:
 
 class TestCandidateSet:
     def test_examples(self, catalog):
-        assert delta3.candidate_set(catalog, 0, 3, 5).members == (1,)
-        assert delta3.candidate_set(catalog, 1, 3, 6).members == (2, 4)
-        assert delta3.candidate_set(catalog, 0, 2, 1).members == ()
+        assert delta3.candidate_set(catalog, 0, 3, 5) == (1,)
+        assert delta3.candidate_set(catalog, 1, 3, 6) == (2, 4)
+        assert delta3.candidate_set(catalog, 0, 2, 1) == ()
 
     def test_size_bound(self, catalog):
         for i in range(4):
             for k in (1, 3):
                 for s in (2, 7, 12):
-                    members = delta3.candidate_set(catalog, i, k, s).members
+                    members = delta3.candidate_set(catalog, i, k, s)
                     assert len(members) <= 1 << i
                     assert all(i < n < s for n in members)
 
@@ -43,7 +43,7 @@ class TestCandidateSet:
                 for i in range(5):
                     union = set()
                     for j in range(i):
-                        union |= set(delta3.candidate_set(catalog, j, k, s).members)
+                        union |= set(delta3.candidate_set(catalog, j, k, s))
                     assert len(union) < 1 << i
 
 
@@ -206,3 +206,46 @@ def test_quantifier_order_with_growing_delay():
     witness = delta3.find_witness(family, 0)
     k = low_bit(witness.w1)
     assert top_bit(witness.w2) > 1 + 2 * k
+
+
+# The candidate loop as first written, kept as the reference both readings
+# of the shared scan must reproduce: staged block indicators below s, truth
+# block members up to the horizon.
+def reference_candidates(i, stop, inhabited):
+    quota = 1 << i
+    members = []
+    for n in range(i + 1, stop):
+        if inhabited(n):
+            members.append(n)
+            if len(members) == quota:
+                break
+    return tuple(members)
+
+
+CANDIDATE_FAMILIES = {
+    "instant": lambda: delta3_catalog("instant"),
+    "delayed": lambda: delta3_catalog("delayed"),
+    "growing": lambda: delta3_catalog("growing"),
+    # one family whose first member sits at exponent 13
+    "deep": lambda: delayed_delta3([SetSpec.powers(modulus=2, residue=1, min_exponent=13)],
+                                   DelaySchedule(base=3, per_k=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_FAMILIES))
+def test_candidate_readings_match_reference_loop(name):
+    family = CANDIDATE_FAMILIES[name]()
+    for i in range(family.count + 1):
+        for k in (0, 1, 3, 7):
+            for s in range(0, 26):
+                expected = reference_candidates(
+                    i, s, lambda n: delta3.block_indicator(family, i, n, k, s))
+                assert delta3.candidate_set(family, i, k, s) == expected, (i, k, s)
+        for horizon in (5, 14, 24):
+            expected = reference_candidates(i, horizon + 1, lambda n: family.block_members(i, n))
+            if len(expected) == 1 << i:
+                assert delta3.candidate_limit(family, i, horizon) == expected
+            else:
+                with pytest.raises(WitnessSearchError, match="only %d of %d inhabited blocks"
+                                   % (len(expected), 1 << i)):
+                    delta3.candidate_limit(family, i, horizon)

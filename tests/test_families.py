@@ -186,6 +186,30 @@ class TestMonotone:
                         best = min((family.evaluate(i, x, y, s), x) for x in block)
                         assert family.block_min(i, n, y, s) == best
 
+    def test_block_min_follows_evaluate(self):
+        # a subclass that overrides only evaluate: block_min reads it, and
+        # its non-members still all count the ramp, so the least one stands
+        # for them
+        class Raised(MonotoneFamily):
+            def evaluate(self, i, x, y, s):
+                return super().evaluate(i, x, y, s) + 3 * self.truth(i, x)
+
+        family = Raised(CATALOG_SETS, MonotoneSchedule(ceiling=lambda i, x, y: 2, ramp_lag=6))
+        for i in range(family.count + 1):
+            for n in range(0, 8):
+                for y in (1, 4):
+                    for s in (0, 3, 9, 30):
+                        block = range(1 << n, 1 << (n + 1))
+                        best = min((family.evaluate(i, x, y, s), x) for x in block)
+                        assert family.block_min(i, n, y, s) == best
+        assert family.block_min(0, 1, 4, 30) == (5, 2)  # 2 counts min(2, 24) + 3
+        assert family.block_min(0, 1, 4, 9) == (3, 3)  # the non-member 3 counts 3
+
+    def test_block_limit_outside_catalog(self):
+        family = monotone_catalog("delayed")
+        assert family.block_limit(7, 3, 5) is None
+        assert family.block_limit(2, 2, 5) == 2  # 4 and 6 both settle to 2
+
     def test_out_of_range_index_diverges(self):
         family = monotone_from_sets([ODD])
         assert family.evaluate(3, 8, 2, 7) == 7

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -642,6 +643,96 @@ def test_verify_mutated_extraction_report(field, value, tmp_path, capsys):
         assert lines[0] == "unknown report kind 'x'"
     else:
         assert lines[0].startswith("verification failed: ")
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_report(kind) -> str:
+    """One valid report of each kind the mutation sweep below alters."""
+    payload = {
+        "delta3-witness": lambda: harness.run_delta3(harness.default_config("delta3"), 0),
+        "pi3-witness": lambda: harness.run_pi3(harness.default_config("pi3"), 1),
+        "product-kill": lambda: harness.run_product_kill(harness.default_config("delta3"), 0),
+        "eval-table": lambda: harness.eval_table(
+            {"id": "tree-random", "modulus": "2", "seed": "0"}, 4, 7),
+    }[kind]()
+    return json.dumps(payload)
+
+
+REPORT_FIELDS = {
+    "delta3-witness": ("report", "claim", "config", "index", "mode", "x", "w1", "w2", "sum",
+                       "sum_with_x", "color_sum", "color_sum_with_x", "certificates",
+                       "bookkeeping"),
+    "pi3-witness": ("report", "claim", "config", "index", "mode", "block_exponent", "x", "w",
+                    "color_w", "color_w_plus_x", "chain", "sums", "requests", "certificates",
+                    "bookkeeping"),
+    "product-kill": ("report", "claim", "config", "index", "branch", "u", "v", "color_u",
+                     "color_v", "certificates", "witness"),
+    "eval-table": ("report", "coloring", "arity", "start", "end", "values"),
+}
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, fields in REPORT_FIELDS.items() for field in fields])
+def test_verify_mutated_report(kind, field, tmp_path, capsys):
+    # every top-level field of a witness, product-kill or eval report set to
+    # each JSON shape in turn: verify answers with its exit codes and one
+    # failure line, never a traceback
+    assert sorted(json.loads(_sweep_report(kind))) == sorted(REPORT_FIELDS[kind])
+    for value in ([], None, "x", {"a": 1}, 5):
+        payload = json.loads(_sweep_report(kind))
+        payload[field] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        code = cli.main(["verify", str(report)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (value, captured)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 1:
+            assert captured.out.splitlines()[-1] == "VERIFICATION FAILED", value
+            assert captured.err == "" and len(captured.out.splitlines()) == 2, value
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x", 5, "field x is not a decimal string: 5"),
+    ("x", "0x2", "field x is not a decimal string: '0x2'"),
+    ("certificates", [], "field certificates is not a JSON object: []"),
+    ("chain", "2,8", "field chain is not a list: '2,8'"),
+])
+def test_verify_names_malformed_field(field, value, message, capsys, tmp_path):
+    payload = json.loads(_sweep_report("pi3-witness"))
+    payload[field] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "verification failed: " + message
+
+
+def test_verify_eval_table_with_oversized_end(tmp_path):
+    # an end of 10**9 behind four values must fail on the table's size, not
+    # re-run a 10**9-vertex table first
+    payload = json.loads(_sweep_report("eval-table"))
+    payload["end"] = str(10 ** 9)
+    report = tmp_path / "eval.json"
+    report.write_text(json.dumps(payload))
+    result = fresh_cli(["verify", str(report)], timeout=20)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines() == [
+        "verification failed: field values must list one entry per vertex, 999999997 in all",
+        "VERIFICATION FAILED",
+    ]
+
+
+def test_pi3_config_rejects_negative_ceiling(tmp_path, capsys):
+    # min_exponent 13 puts every member past monotone_from_sets' probes and
+    # validate_family's samples; the ceiling is a constant, so build_family
+    # checks it exactly
+    config = tmp_path / "negative.json"
+    config.write_text(json.dumps({"catalog": "pi3", "families": [{
+        "index": "0", "kind": "monotone", "ceiling": "-3",
+        "set": {"kind": "powers", "modulus": "2", "residue": "1", "min_exponent": "13"},
+    }]}))
+    assert cli.main(["pi3", "witness", "--index", "0", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "error: family entry 0 has a negative ceiling -3\n")
 
 
 class TestSharedParser:

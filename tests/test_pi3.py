@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from fscoloring import pi3
 from fscoloring.dyadic import apart, block, low_bit, top_bit
 from fscoloring.errors import GuardError, VerificationError, WitnessSearchError
-from fscoloring.families import SetSpec, monotone_catalog, monotone_from_sets
+from fscoloring.families import MonotoneSchedule, SetSpec, monotone_catalog, monotone_from_sets
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
 
@@ -263,3 +265,63 @@ def test_deep_block_exponent_three():
     assert sorted(spread.requests) == block(3)
     witness = pi3.find_witness(deep, 0)
     assert witness.block_exponent == 3 and witness.x == 8
+
+
+# The two priority loops as first written, one per reading, kept as the
+# references Pi3Engine's shared recurrence must reproduce.
+def reference_stage_index(family, n, y, k, s):
+    table, taken = {}, set()
+    for m in range(1, n + 1):
+        table[m] = next(
+            (i for i in range(m)
+             if i not in taken and pi3.guess_bound(family, i, m, y, s) < k),
+            None,
+        )
+        if table[m] is not None:
+            taken.add(table[m])
+    return table[n]
+
+
+def reference_stable_index(family, n):
+    table, taken = {}, set()
+    for m in range(1, n + 1):
+        table[m] = next(
+            (i for i in range(min(m, family.count))
+             if i not in taken and family.block_members(i, m)),
+            None,
+        )
+        if table[m] is not None:
+            taken.add(table[m])
+    return table[n]
+
+
+PRIORITY_FAMILIES = {
+    "instant": lambda: monotone_catalog("instant"),
+    "delayed": lambda: monotone_catalog("delayed"),
+    # one family whose first member sits at exponent 13: every exponent
+    # below it scans indices outside the catalog
+    "deep": lambda: monotone_from_sets(
+        [SetSpec.powers(modulus=2, residue=1, min_exponent=13)],
+        MonotoneSchedule(ceiling=lambda i, x, y: 1, ramp_lag=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIORITY_FAMILIES))
+def test_priority_readings_match_reference_loops(name):
+    family = PRIORITY_FAMILIES[name]()
+    staged = [(n, y, k, s)
+              for y in (2, 3, 5, 8, 14, 16) for n in range(1, y)
+              for k in (y, y + 1, y + 4) for s in (k, k + 3, k + 11)]
+    exponents = list(range(1, 21))
+    # one engine for every query, in a shuffled order, so later answers
+    # come from entries earlier queries filled
+    random.Random(name).shuffle(staged)
+    random.Random(name).shuffle(exponents)
+    engine = pi3.Pi3Engine(family)
+    for query in staged:
+        assert engine.stage_index(*query) == reference_stage_index(family, *query), query
+    for n in exponents:
+        assert engine.stable_index(n) == reference_stable_index(family, n), n
+    if name == "deep":
+        assert engine.stable_index(13) == 0
+        assert [engine.stable_index(n) for n in range(1, 13)] == [None] * 12
