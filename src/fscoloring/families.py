@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple
@@ -32,6 +33,26 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple
 from .dyadic import has_weak_apartness, top_bit
 from .errors import FixtureError
 from .treecolor import _absorb, _mix
+
+
+# ---------------------------------------------------------------------------
+# Decimal fields
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(value, name: str) -> int:
+    """An integer field of a config or report, which must be a decimal string."""
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        raise FixtureError("field %s is not a decimal string: %.40r" % (name, value))
+    return int(value)
+
+
+def _decimals(values, name: str) -> tuple:
+    """A list field of decimal strings, read as integers."""
+    if not isinstance(values, list):
+        raise FixtureError("field %s is not a list: %.40r" % (name, values))
+    return tuple(_decimal(value, "%s[%d]" % (name, j)) for j, value in enumerate(values))
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +203,20 @@ class SetSpec:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SetSpec":
-        kind = payload["kind"]
+    def from_payload(cls, payload: dict, name: str = "set") -> "SetSpec":
+        """Read a descriptor written by to_payload; errors name its fields
+        under name."""
+        kind = payload.get("kind")
         if kind == "explicit":
-            return cls.explicit([int(x) for x in payload["elements"]])
+            return cls.explicit(_decimals(payload.get("elements"), name + ".elements"))
         if kind == "powers":
-            return cls.powers(
-                modulus=int(payload.get("modulus", "1")),
-                residue=int(payload.get("residue", "0")),
-                min_exponent=int(payload.get("min_exponent", "0")),
-            )
+            return cls.powers(modulus=_decimal(payload.get("modulus", "1"), name + ".modulus"),
+                              residue=_decimal(payload.get("residue", "0"), name + ".residue"),
+                              min_exponent=_decimal(payload.get("min_exponent", "0"),
+                                                    name + ".min_exponent"))
         if kind == "coeff_powers":
-            return cls.coeff_powers(
-                [int(c) for c in payload["coefficients"]],
-                step=int(payload.get("step", "2")),
-            )
+            return cls.coeff_powers(_decimals(payload.get("coefficients"), name + ".coefficients"),
+                                    step=_decimal(payload.get("step", "2"), name + ".step"))
         raise FixtureError("unknown set kind %r" % (kind,))
 
     def __repr__(self):
@@ -389,8 +409,9 @@ class MonotoneFamily(SetFamily):
         """min(ceiling, ramp) on members, ramp elsewhere.
 
         The schedule's ramp max(0, s - ramp_lag) and its ceiling (0 when
-        missing) are inlined, since validation probes this thousands of
-        times per family; a test pins them to ramp and ceiling_value.
+        missing) are inlined, since block_min reads this on every guess
+        and validate_family probes it thousands of times per family it
+        checks; a test pins them to ramp and ceiling_value.
         """
         schedule = self.schedule
         lag = schedule.ramp_lag
@@ -626,6 +647,13 @@ def build_family(config: dict):
     Family entries must be densely indexed from zero and of one
     category: membership kinds (instant/delayed) or the counting kind
     (monotone); mixing categories has no semantics and is rejected.
+
+    This is the one check of a config, and it is exact: every integer
+    field must be a decimal string, every set descriptor valid and every
+    ceiling nonnegative.  Such a family satisfies validate_family's
+    properties by construction: its staged values are truth or its
+    complement against an integer delay, or min(ceiling, ramp) with a
+    constant ceiling, so no sampling is needed.
     """
     if not isinstance(config, dict):
         raise FixtureError("a config must be an object, got %s" % type(config).__name__)
@@ -640,29 +668,33 @@ def build_family(config: dict):
     for position, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("set"), dict)):
             raise FixtureError("family entry %d and its set must be objects" % position)
-        if int(entry.get("index", position)) != position:
+        if _decimal(entry.get("index", str(position)), "families[%d].index" % position) != position:
             raise FixtureError("family indices must be dense from 0")
-    sets = [SetSpec.from_payload(entry["set"]) for entry in entries]
+    sets = [SetSpec.from_payload(entry["set"], "families[%d].set" % position)
+            for position, entry in enumerate(entries)]
     kinds = [entry.get("kind", "instant") for entry in entries]
+
+    def integers(key):
+        """The integer field key of every entry, "0" when absent."""
+        return [_decimal(entry.get(key, "0"), "families[%d].%s" % (position, key))
+                for position, entry in enumerate(entries)]
+
     if catalog == "delta3":
         if any(kind not in ("instant", "delayed") for kind in kinds):
             raise FixtureError("delta3 catalogs allow kinds 'instant' and 'delayed' only")
-        delay = [
-            DelaySchedule(int(entry.get("delay_base", "0")), int(entry.get("delay_per_k", "0")))
-            for entry in entries
-        ]
+        delay = map(DelaySchedule, integers("delay_base"), integers("delay_per_k"))
         return Delta3Family(sets=sets, delay=delay, description="config:delta3")
     if any(kind != "monotone" for kind in kinds):
         raise FixtureError("pi3 catalogs allow the kind 'monotone' only")
-    ceilings = tuple(int(entry.get("ceiling", "0")) for entry in entries)
+    ceilings = tuple(integers("ceiling"))
     for position, ceiling in enumerate(ceilings):
         if ceiling < 0:
             raise FixtureError("family entry %d has a negative ceiling %d" % (position, ceiling))
     schedule = MonotoneSchedule(
         ceiling=lambda i, x, y: ceilings[i] if 0 <= i < len(ceilings) else 0,
-        ramp_lag=int(config.get("ramp_lag", "0")),
+        ramp_lag=_decimal(config.get("ramp_lag", "0"), "ramp_lag"),
     )
-    return monotone_from_sets(sets, schedule, description="config:pi3")
+    return MonotoneFamily(sets, schedule, description="config:pi3")
 
 
 def delta3_catalog(variant="instant") -> Delta3Family:

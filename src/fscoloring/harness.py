@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -23,7 +22,7 @@ from . import apartness, delta3, pi3
 from .dyadic import finite_sums, has_apartness, low_bit
 from .errors import FixtureError, GuardError, Guards, VerificationError, WitnessSearchError
 from .families import (  # default_config is re-exported for callers of harness
-    Delta3Family, MonotoneFamily, build_family, default_config, validate_family,
+    Delta3Family, MonotoneFamily, _decimal, _decimals, build_family, default_config,
 )
 from .treecolor import (
     TreeColoring, default_request, popcount_coloring, random_request, signed_counts, tree_edges,
@@ -60,8 +59,8 @@ def build_coloring(spec: dict):
         if kind == "tree-default":
             request = default_request()
         else:
-            request = random_request(int(spec.get("seed", "0")))
-        return TreeColoring(request, int(spec.get("modulus", "2"))), 1
+            request = random_request(_decimal(spec.get("seed", "0"), "coloring.seed"))
+        return TreeColoring(request, _decimal(spec.get("modulus", "2"), "coloring.modulus")), 1
     if kind == "killer":
         return apartness.weak_apartness_killer, 2
     if kind in ("delta3", "delta3-product", "pi3", "pi3-product"):
@@ -277,14 +276,12 @@ def _catalog_family(config: dict, catalog: str):
 
 
 def _check_family(family, index: int) -> None:
-    """Reject an index outside the catalog, then validate the family."""
+    """Reject an index outside the catalog; build_family has already
+    checked the rest of the config exactly."""
     if not (0 <= index < family.count):
         raise FixtureError(
             "fixture index %d is outside the catalog [0, %d)" % (index, family.count)
         )
-    report = validate_family(family)
-    if not report.ok:
-        raise FixtureError("fixture validation failed:\n%s" % report)
 
 
 def _witness_report(config: dict, family, index: int, mode: str, guards: Guards) -> dict:
@@ -557,28 +554,11 @@ def verify_report(payload: dict, guards: Guards = Guards()):
     return True, details
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _decimal(value, name: str) -> int:
-    """An integer field of a report, which must be a decimal string."""
-    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        raise VerificationError("field %s is not a decimal string: %.40r" % (name, value))
-    return int(value)
-
-
-def _shaped(value, kind, name: str):
-    """A list (kind list) or JSON object (kind dict) field of a report."""
-    if not isinstance(value, kind):
-        raise VerificationError("field %s is not a %s: %.40r"
-                                % (name, "list" if kind is list else "JSON object", value))
+def _object(value, name: str) -> dict:
+    """A JSON object field of a report."""
+    if not isinstance(value, dict):
+        raise VerificationError("field %s is not a JSON object: %.40r" % (name, value))
     return value
-
-
-def _decimals(values, name: str) -> tuple:
-    """A list field of decimal strings, read as integers."""
-    return tuple(_decimal(value, "%s[%d]" % (name, j))
-                 for j, value in enumerate(_shaped(values, list, name)))
 
 
 def _report_family(payload, family_type):
@@ -621,7 +601,7 @@ def _verify_pi3(payload, guards):
 def _check_certificates(payload, family, index, totals) -> None:
     """Each certificate named in totals lists distinct fixture members that
     sum to its total."""
-    certificates = _shaped(payload["certificates"], dict, "certificates")
+    certificates = _object(payload["certificates"], "certificates")
     for key, total in totals.items():
         values = _decimals(certificates[key], "certificates.%s" % key)
         if sum(values) != total:
@@ -666,7 +646,7 @@ def _rerun_search(payload, guards):
     bound, size = (_decimal(payload[key], key) for key in ("bound", "size"))
     max_terms = payload["max_terms"]
     max_terms = None if max_terms == "unbounded" else _decimal(max_terms, "max_terms")
-    coloring = _shaped(payload["coloring"], dict, "coloring")
+    coloring = _object(payload["coloring"], "coloring")
     return search_report(coloring, max_terms, bound, size, guards=guards)
 
 
@@ -678,7 +658,7 @@ def _rerun_eval(payload, guards):
     values, size = payload["values"], max(0, end - start + 1)
     if not (isinstance(values, list) and len(values) == size):
         raise VerificationError("field values must list one entry per vertex, %d in all" % size)
-    return eval_table(_shaped(payload["coloring"], dict, "coloring"), start, end)
+    return eval_table(_object(payload["coloring"], "coloring"), start, end)
 
 
 def _extraction_detail(payload):

@@ -302,6 +302,61 @@ def test_evaluate_matches_schedules(specs, i, x, k, s, base, per_k, ceiling, ram
     assert monotone.evaluate(i, x, y, s) == count
 
 
+MALFORMED = ([], None, 5, "x", "1.5", {"a": "1"})
+
+
+@st.composite
+def configs(draw):
+    """Configs of both catalogs over every SetSpec kind, with signed integer
+    fields; in half the draws one field, at any depth, holds a malformed
+    value instead."""
+    def signed(low, high):
+        return st.integers(min_value=low, max_value=high).map(str)
+
+    catalog = draw(st.sampled_from(["delta3", "pi3"]))
+    entries = []
+    for position in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["explicit", "powers", "coeff_powers"]))
+        if kind == "explicit":
+            spec = {"kind": kind, "elements": draw(st.lists(signed(-2, 1 << 13), max_size=5))}
+        elif kind == "powers":
+            modulus = draw(st.integers(min_value=0, max_value=5))
+            spec = {"kind": kind, "modulus": str(modulus),
+                    "residue": draw(signed(0, max(modulus - 1, 0))),
+                    "min_exponent": draw(signed(-1, 12))}
+        else:
+            spec = {"kind": kind, "coefficients": draw(st.lists(signed(0, 48), max_size=4)),
+                    "step": draw(signed(0, 6))}
+        entry = {"index": str(position), "set": spec}
+        if catalog == "delta3":
+            entry.update(kind=draw(st.sampled_from(["instant", "delayed"])),
+                         delay_base=draw(signed(-200, 200)), delay_per_k=draw(signed(-6, 6)))
+        else:
+            entry.update(kind="monotone", ceiling=draw(signed(-2, 12)))
+        entries.append(entry)
+    config = {"catalog": catalog, "families": entries}
+    if catalog == "pi3":
+        config["ramp_lag"] = draw(signed(-200, 200))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([config, *entries, *(entry["set"] for entry in entries)]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(st.sampled_from(MALFORMED))
+    return config
+
+
+@given(configs())
+@settings(max_examples=150, deadline=None)
+def test_built_configs_validate(config):
+    # build_family is the only check a config gets on the witness path, so
+    # every family it accepts must pass the sampled validation it replaced,
+    # and every config it refuses must be refused with a FixtureError
+    try:
+        family = build_family(config)
+    except FixtureError:
+        return
+    report = validate_family(family)
+    assert report.ok, str(report)
+
+
 def naive_grid(seed, samples, max_index, max_point, max_param):
     """The sample grid from its plain definition, one full hash per value."""
     points = [1, 2, 3, 4, 5, 8, 12, 31, 32]

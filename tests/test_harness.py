@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -509,6 +510,9 @@ BAD_CONFIGS = {
     "entry-not-an-object": {"catalog": "delta3", "families": [3]},
     "set-not-an-object": {"catalog": "delta3", "families": [{"index": "0", "set": 5}]},
     "set-missing": {"catalog": "pi3", "families": [{"index": "0", "kind": "monotone"}]},
+    "index-a-list": {"catalog": "delta3", "families": [{"index": [], "set": {"kind": "powers"}}]},
+    "modulus-a-list": {"catalog": "delta3",
+                       "families": [{"index": "0", "set": {"kind": "powers", "modulus": []}}]},
 }
 
 
@@ -597,7 +601,8 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing"])
+    @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing",
+                                      "index-a-list", "modulus-a-list"])
     def test_verify_rejects_config_shape(self, name, tmp_path, capsys):
         payload = harness.run_delta3(harness.default_config("delta3"), 0)
         payload["config"] = BAD_CONFIGS[name]
@@ -707,6 +712,17 @@ def test_verify_names_malformed_field(field, value, message, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[0] == "verification failed: " + message
 
 
+@pytest.mark.parametrize("key, value", [("seed", []), ("modulus", "2.5")])
+def test_verify_names_malformed_coloring_field(key, value, capsys, tmp_path):
+    payload = json.loads(_sweep_report("eval-table"))
+    payload["coloring"][key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    assert capsys.readouterr() == ("verification failed: field coloring.%s is not a decimal "
+                                   "string: %r\nVERIFICATION FAILED\n" % (key, value), "")
+
+
 def test_verify_eval_table_with_oversized_end(tmp_path):
     # an end of 10**9 behind four values must fail on the table's size, not
     # re-run a 10**9-vertex table first
@@ -733,6 +749,50 @@ def test_pi3_config_rejects_negative_ceiling(tmp_path, capsys):
     }]}))
     assert cli.main(["pi3", "witness", "--index", "0", "--config", str(config)]) == 2
     assert capsys.readouterr() == ("", "error: family entry 0 has a negative ceiling -3\n")
+
+
+def test_pi3_witness_evaluates_only_in_block_min(capsys):
+    # build_family is the config's one check: the only evaluate calls of a
+    # witness command are block_min's reads, so sampled validation back on
+    # the run path shows here as calls outside it, with no timing involved
+    calls = {"block_min": 0, "outside": 0}
+    evaluate, block_min = MonotoneFamily.evaluate, MonotoneFamily.block_min
+    open_block_mins = []
+
+    def counted_evaluate(self, *args):
+        calls["block_min" if open_block_mins else "outside"] += 1
+        return evaluate(self, *args)
+
+    def counted_block_min(self, *args):
+        open_block_mins.append(args)
+        try:
+            return block_min(self, *args)
+        finally:
+            open_block_mins.pop()
+
+    config = str(ROOT / "configs" / "pi3-delayed.json")
+    with mock.patch.object(MonotoneFamily, "evaluate", counted_evaluate), \
+            mock.patch.object(MonotoneFamily, "block_min", counted_block_min):
+        assert cli.main(["pi3", "witness", "--config", config, "--index", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == {"block_min": 50, "outside": 0}
+
+
+def test_delta3_witness_never_evaluates(capsys):
+    # the delta3 construction reads the delay schedule through block_first,
+    # so any evaluate call of a witness command is sampled validation
+    calls = []
+    evaluate = Delta3Family.evaluate
+
+    def counted_evaluate(self, *args):
+        calls.append(args)
+        return evaluate(self, *args)
+
+    config = str(ROOT / "configs" / "delta3-delayed.json")
+    with mock.patch.object(Delta3Family, "evaluate", counted_evaluate):
+        assert cli.main(["delta3", "witness", "--config", config, "--index", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == []
 
 
 class TestSharedParser:
