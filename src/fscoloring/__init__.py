@@ -54,6 +54,7 @@ from .treecolor import (
 from .apartness import (
     ExtractionCertificate,
     extract_apart,
+    extract_progression,
     low_bit_parity,
     product,
     top_bit_parity,

@@ -10,6 +10,9 @@ with the construction colorings.
 extract_apart thins an arbitrary increasing stream into one with full
 apartness while keeping every output a sum of a private block of stream
 elements, so finite sums of the output stay finite sums of the input.
+extract_progression gives the same outputs for an arithmetic progression,
+solving each block from the progression's start and step instead of
+scanning the stream for it.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
     one per window element before the block.  The window may still hold 2**(top_bit(b)+1)
     stream elements, so an output whose modulus exponent top_bit(b)+1
     exceeds max_bits is refused with a GuardError before its scan starts.
+
+    This scan serves any iterable; an arithmetic progression has the same
+    outputs, solved in closed form, from extract_progression.
     """
     source = iter(stream)
     first = next(source, None)
@@ -138,3 +144,64 @@ def extract_apart(stream: Iterable[int], max_bits: int = Guards.extract_bits
             seen[prefix] = 1
         else:
             return
+
+
+def extract_progression(start: int, step: int, max_bits: int = Guards.extract_bits
+                        ) -> Iterator[ExtractionCertificate]:
+    """extract_apart(itertools.count(start, step), max_bits), solved per output.
+
+    The scan's outputs depend only on where its first repeat falls, and in a
+    progression that is the least solution of a congruence (_first_repeat),
+    so each output costs O(bits) integer steps plus its block, which holds
+    at most 2**bits elements, instead of a scan over up to 2**bits elements.
+    The guard on bits is checked before every output, as in the scan.
+    """
+    if start < 1 or step < 1:
+        raise ValueError("a progression needs positive start and step, got %d, %d"
+                         % (start, step))
+    yield ExtractionCertificate(value=start, block=(start,), first_index=0)
+    position, x, previous = 1, start + step, start
+    while True:
+        bits = top_bit(previous) + 1
+        if bits > max_bits:
+            raise GuardError("extract_bits", max_bits, bits)
+        j, m = _first_repeat(x, step, bits)
+        block = tuple(range(x + (j - m) * step, x + j * step, step))
+        previous = (block[0] + block[-1]) * m >> 1
+        yield ExtractionCertificate(value=previous, block=block, first_index=position + j - m)
+        position += j
+        x += j * step
+
+
+def _first_repeat(x: int, step: int, bits: int) -> tuple:
+    """(j, m) for the scan of x, x + step, x + 2 step, ...: its prefix sum
+    S_j is the first to agree mod 2**bits with an earlier one, S_(j-m).
+
+    For prefixes i < j, with m = j - i and s = i + j,
+    2 (S_j - S_i) = m (step s - target), where target = step - 2x.  So the
+    first repeat is the least j = (s + m) / 2 over pairs with s >= m,
+    s = m mod 2 and v2(m) + v2(step s - target) >= bits + 1.  For each
+    t = v2(m), m = 2**t is best, and s is the least value >= m in one
+    residue class modulo a power of two, solved with the inverse of step's
+    odd part.  The prefixes before S_j are pairwise distinct mod 2**bits,
+    so no two t give the same j, and the pair is the block the scan's walk
+    back finds.
+    """
+    shift = low_bit(step)
+    target = step - 2 * x
+    inverse = pow(step >> shift, -1, 1 << (bits + 1))
+    repeats = []
+    for t in range(bits + 2):
+        m, e = 1 << t, bits + 1 - t  # need step s = target mod 2**e
+        if target % (1 << min(e, shift)):
+            continue
+        if e <= shift:  # step s vanishes mod 2**e: only s = m mod 2 binds
+            residue, modulus = m & 1, 2
+        else:
+            modulus = 1 << (e - shift)
+            residue = (target >> shift) * inverse % modulus
+            if residue & 1 != m & 1:
+                continue
+        s = m + (residue - m) % modulus
+        repeats.append(((s + m) >> 1, m))
+    return min(repeats)

@@ -154,14 +154,9 @@ class SetSpec:
         return merged()
 
     def members_upto_bit(self, horizon: int) -> list:
-        """All members whose top bit is at most horizon."""
-        limit = 1 << (horizon + 1)
-        out = []
-        for x in self.members():
-            if x >= limit:
-                break
-            out.append(x)
-        return out
+        """All members whose top bit is at most horizon, read block by block
+        so that no member past the horizon is ever built."""
+        return [x for n in range(horizon + 1) for x in self.block_members(n)]
 
     def block_members(self, n: int) -> list:
         """Members inside the block at exponent n, in increasing order.

@@ -382,8 +382,12 @@ def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
                    out: Optional[str] = None) -> dict:
     if count < 0:
         raise FixtureError("the extraction count must be nonnegative, got %d" % count)
-    outputs = list(itertools.islice(
-        apartness.extract_apart(build_stream(stream_spec), max_bits=guards.extract_bits), count))
+    progression = _progression(stream_spec)
+    if progression is None:
+        certificates = apartness.extract_apart(build_stream(stream_spec), guards.extract_bits)
+    else:
+        certificates = apartness.extract_progression(*progression, guards.extract_bits)
+    outputs = list(itertools.islice(certificates, count))
     if len(outputs) < count:
         raise FixtureError(
             "the stream ended after %d of %d extraction outputs" % (len(outputs), count)
@@ -426,18 +430,27 @@ def _extraction_inputs(payload) -> tuple:
     return stream, int(count)
 
 
-def build_stream(spec: dict):
+def _progression(spec: dict) -> Optional[tuple]:
+    """(start, step) of a naturals or arithmetic stream spec; None for an
+    explicit one."""
     kind = spec.get("kind", "naturals")
     if kind == "naturals":
-        return itertools.count(1)
+        return 1, 1
     if kind == "arithmetic":
         start, step = int(spec.get("start", "1")), int(spec.get("step", "1"))
         if start < 1 or step < 1:
             raise FixtureError("arithmetic streams need positive start and step")
-        return itertools.count(start, step)
+        return start, step
     if kind == "explicit":
-        return iter([int(x) for x in spec["elements"]])
+        return None
     raise FixtureError("unknown stream kind %r" % (kind,))
+
+
+def build_stream(spec: dict):
+    progression = _progression(spec)
+    if progression is None:
+        return iter([int(x) for x in spec["elements"]])
+    return itertools.count(*progression)
 
 
 def eval_table(coloring_spec: dict, start: int, end: int, *,

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fscoloring import apartness
+from fscoloring import apartness, cli
 from fscoloring.apartness import (
     extract_apart,
+    extract_progression,
     low_bit_parity,
     product,
     top_bit_parity,
@@ -281,3 +282,55 @@ def test_byte_table_scan_matches_dict_scan(first, rest, max_bits):
     elements = [first, *rest]
     assert run_scan(extract_apart(iter(elements), max_bits)) == run_scan(
         dict_scan_extraction(iter(elements), max_bits))
+
+
+def first_outputs(certificates, outputs=30):
+    """run_scan over at most the first outputs certificates."""
+    return run_scan(islice(certificates, outputs))
+
+
+small_or_large = st.one_of(st.integers(min_value=1, max_value=64),
+                           st.integers(min_value=1, max_value=10 ** 6))
+
+
+@given(small_or_large, small_or_large, st.integers(min_value=4, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_progression_matches_scan(start, step, max_bits):
+    # same certificates, then the same GuardError text at the same output
+    assert first_outputs(extract_progression(start, step, max_bits)) == first_outputs(
+        extract_apart(count(start, step), max_bits))
+
+
+def test_progression_matches_scan_on_grid():
+    # odd steps give one-element blocks; even ones longer blocks, up to 2**11
+    # elements at a step of 32 and 2**12 at a step of 4
+    longest = {}
+    for start in range(1, 41):
+        for step in range(1, 41):
+            solved = first_outputs(extract_progression(start, step, 12))
+            assert solved == first_outputs(extract_apart(count(start, step), 12)), (start, step)
+            certificates, failure, _message = solved
+            assert failure is GuardError
+            longest[step] = max(longest.get(step, 0), *(len(c.block) for c in certificates))
+    assert all(longest[step] == 1 for step in range(1, 41, 2))
+    assert (longest[2], longest[4], longest[32]) == (64, 4096, 2048)
+
+
+def test_progression_needs_positive_terms():
+    for start, step in ((0, 1), (1, 0), (-3, 2)):
+        with pytest.raises(ValueError, match="positive start and step"):
+            next(extract_progression(start, step))
+
+
+def test_extract_and_verify_solve_progressions(tmp_path, monkeypatch, capsys):
+    # the twelfth output of 1, 4, 7, ... sits 1,398,101 elements in; neither
+    # the command nor its verify scans for it
+    def scan(*_args, **_kwargs):
+        raise AssertionError("extract_apart scanned a progression")
+
+    monkeypatch.setattr(apartness, "extract_apart", scan)
+    report = tmp_path / "extraction.json"
+    assert cli.main(["apartness", "extract", "--stream", "arith:1:3", "--count", "12",
+                     "--out", str(report)]) == 0
+    assert cli.main(["verify", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "VERIFIED"

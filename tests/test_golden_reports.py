@@ -4,7 +4,8 @@ Reports are byte-identical for identical inputs, so the SHA-256 of each
 report file pins every value in it.  The eval and tree-check digests were
 recorded with the per-vertex evaluators that preceded block-at-a-time
 evaluation; the witness digests with the per-family memo registries that
-preceded one explicit engine per run.  Any change to an evaluator or a
+preceded one explicit engine per run; the extraction digests with the
+element-by-element scan that preceded solving progressions in closed form.  Any change to an evaluator or a
 construction that alters a single color, request, chain or bookkeeping
 value shows here.
 """
@@ -59,6 +60,18 @@ GOLDEN = {
     "tree-check": (
         ["tree", "check", "--max-exponent", "6", "--moduli", "2,3,5,8"],
         "fff23b06af7be96aa1085636b3c724126b56a509f182f3824c370dcc437f6616",
+    ),
+    "extract/naturals": (
+        ["apartness", "extract", "--stream", "naturals", "--count", "10"],
+        "7900ac7e98b1dd5b159d6cf6e52a5ce0bf3c5451b6ca5fe3fb6d971a8ff2f479",
+    ),
+    "extract/arith-1-3": (
+        ["apartness", "extract", "--stream", "arith:1:3", "--count", "12"],
+        "45515debaa8034548b7868df62d11a200006625c01f06fc603488823d31e3c17",
+    ),
+    "extract/arith-5-2": (  # blocks of 2, 8 and 32 elements
+        ["apartness", "extract", "--stream", "arith:5:2", "--count", "10"],
+        "9ebc47ae2c6aaf0f9010c661eca1da70739039c9e0c0eb0ff9ef6392f8bbff25",
     ),
 }
 

@@ -539,8 +539,9 @@ class TestMalformedInput:
         assert captured.err == ""
 
     def test_extraction_guard_bounds_memory(self):
-        # the fifth output of 3, 7, 11, ... needs residues mod 2**30; the guard
-        # refuses that scan before it starts, instead of exhausting memory
+        # the fifth output of 3, 7, 11, ... is a block summing to 0 mod 2**30;
+        # the guard refuses that output before building it, instead of
+        # exhausting memory
         result = fresh_cli(["apartness", "extract", "--stream", "arith:3:4", "--count", "5"],
                            timeout=30, preexec_fn=_cap_address_space)
         assert result.returncode == 2
@@ -548,8 +549,8 @@ class TestMalformedInput:
             "error: guard 'extract_bits' exceeded: requested 30, bound 22\n")
 
     def test_extraction_out_of_memory(self):
-        # a raised guard admits the 2**30-byte residue table of that fifth
-        # output; under a 1 GB address space its allocation fails, and the
+        # a raised guard admits that fifth output, whose block holds 2**30
+        # elements; under a 1 GB address space its allocation fails, and the
         # command says so in one line
         result = fresh_cli(["apartness", "extract", "--stream", "arith:3:4", "--count", "5",
                             "--guard-extract-bits", "30"],
@@ -569,9 +570,10 @@ class TestMalformedInput:
         assert capsys.readouterr() == ("", "error: %s\n" % message)
 
     def test_extraction_memory(self):
-        # the twelfth output of 1, 4, 7, ... scans 1.4M elements for residues
-        # mod 2**21, which a 2 MB byte table holds.  A wrapper interpreter runs
-        # the command as its only child, so RUSAGE_CHILDREN is that command's.
+        # the twelfth output of 1, 4, 7, ... is one element 1.4M elements in,
+        # solved without reading the elements before it.  A wrapper interpreter
+        # runs the command as its only child, so RUSAGE_CHILDREN is that
+        # command's.
         wrapper = (
             "import resource, subprocess, sys\n"
             "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
@@ -600,6 +602,22 @@ class TestMalformedInput:
         assert cli.main(["delta3", "witness", "--index", "0", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("far_set", [
+        {"kind": "powers", "modulus": "1", "residue": "0", "min_exponent": "100000000000"},
+        {"kind": "coeff_powers", "coefficients": ["1"], "step": "100000000000"},
+    ])
+    def test_far_out_members_are_never_built(self, far_set, tmp_path):
+        # 2**100000000000 would take 12.5 GB; the members up to the horizon
+        # are read block by block, so the command finds too few of them
+        config = json.loads((ROOT / "configs" / "delta3-instant.json").read_text())
+        config["families"][0]["set"] = far_set
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(config))
+        result = fresh_cli(["delta3", "witness", "--config", str(path), "--index", "0",
+                            "--product"], timeout=30, preexec_fn=_cap_address_space)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: only 0 of 1 inhabited blocks above 0 found up to horizon 24\n")
 
     @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing",
                                       "index-a-list", "modulus-a-list"])
