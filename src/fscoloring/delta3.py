@@ -259,11 +259,7 @@ def _oracle_witness(family, i, horizon):
 
 
 def _blind_witness(family, i, bound):
-    members = []
-    for x in family.members(i):
-        if x > bound:
-            break
-        members.append(x)
+    members = [x for x in family.members_upto_bit(i, bound.bit_length() - 1) if x <= bound]
     color = coloring(family)
     for a, w1 in enumerate(members):
         for w2 in members[a + 1:]:
@@ -290,9 +286,7 @@ def _blind_witness(family, i, bound):
 
 
 def _first_member(family, i, predicate, horizon, what):
-    for x in family.members(i):
-        if top_bit(x) > horizon:
-            break
+    for x in family.members_upto_bit(i, horizon):
         if predicate(x):
             return x
     raise WitnessSearchError(

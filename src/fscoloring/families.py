@@ -225,8 +225,8 @@ class SetSpec:
 class SetFamily:
     """Truth, member enumeration and weak apartness over a tuple of SetSpec.
 
-    truth, members and block_members read indices outside the catalog as
-    the empty set.
+    truth, block_members and members_upto_bit read indices outside the
+    catalog as the empty set.
     """
 
     def __init__(self, sets: Iterable[SetSpec], description=""):
@@ -239,15 +239,15 @@ class SetFamily:
             return 0
         return 1 if self.sets[i].contains(x) else 0
 
-    def members(self, i) -> Iterator[int]:
-        if not (0 <= i < self.count):
-            return iter(())
-        return self.sets[i].members()
-
     def block_members(self, i, n) -> list:
         if not (0 <= i < self.count):
             return []
         return self.sets[i].block_members(n)
+
+    def members_upto_bit(self, i, horizon) -> list:
+        if not (0 <= i < self.count):
+            return []
+        return self.sets[i].members_upto_bit(horizon)
 
     def weak_apart_on(self, i, horizon):
         return has_weak_apartness(self.sets[i].members_upto_bit(horizon))

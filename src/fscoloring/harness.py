@@ -384,7 +384,8 @@ def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
         raise FixtureError("the extraction count must be nonnegative, got %d" % count)
     progression = _progression(stream_spec)
     if progression is None:
-        certificates = apartness.extract_apart(build_stream(stream_spec), guards.extract_bits)
+        elements = iter([int(x) for x in stream_spec["elements"]])
+        certificates = apartness.extract_apart(elements, guards.extract_bits)
     else:
         certificates = apartness.extract_progression(*progression, guards.extract_bits)
     outputs = list(itertools.islice(certificates, count))
@@ -414,7 +415,7 @@ def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
 
 def _extraction_inputs(payload) -> tuple:
     """(stream spec, count) of an extraction report, checked for the shapes
-    build_stream and run_extraction read."""
+    run_extraction reads."""
     stream, count = payload["stream"], payload["count"]
     if not isinstance(stream, dict):
         raise VerificationError("the extraction stream must be an object")
@@ -444,13 +445,6 @@ def _progression(spec: dict) -> Optional[tuple]:
     if kind == "explicit":
         return None
     raise FixtureError("unknown stream kind %r" % (kind,))
-
-
-def build_stream(spec: dict):
-    progression = _progression(spec)
-    if progression is None:
-        return iter([int(x) for x in spec["elements"]])
-    return itertools.count(*progression)
 
 
 def eval_table(coloring_spec: dict, start: int, end: int, *,

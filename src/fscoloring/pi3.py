@@ -247,18 +247,9 @@ def _failing_link(engine, n, elements) -> Optional[int]:
     return None
 
 
-def _members_upto(engine, i) -> list:
-    out = []
-    for x in engine.family.members(i):
-        if top_bit(x) > engine.chain_bits:
-            break
-        out.append(x)
-    return out
-
-
 def _oracle_chain(engine, i, n, count, floor):
     chain_bits = engine.chain_bits
-    members = _members_upto(engine, i)
+    members = engine.family.members_upto_bit(i, engine.chain_bits)
     chain = []
     cursor = 0
 
@@ -314,7 +305,7 @@ def _required_final_stage(engine, i, n, chain) -> int:
 
 def _blind_chain(engine, i, n, count, floor, retries=64):
     chain_bits = engine.chain_bits
-    members = _members_upto(engine, i)
+    members = engine.family.members_upto_bit(i, engine.chain_bits)
     chain = []
     cursor = 0
     budget = retries

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 from pathlib import Path
 from unittest import mock
@@ -65,7 +66,8 @@ class TestSetSpec:
         ]
         for spec in specs:
             for n in range(45):
-                expected = [x for x in spec.members_upto_bit(n) if x >= 1 << n]
+                below = itertools.takewhile(lambda x: x < 1 << (n + 1), spec.members())
+                expected = [x for x in below if x >= 1 << n]
                 assert spec.block_members(n) == expected
         assert ODD.block_members(-1) == []
 
@@ -98,7 +100,7 @@ class TestInstant:
         family = instant_delta3([ODD])
         assert family.evaluate(5, 8, 0, 0) == 0
         assert family.truth(5, 8) == 0
-        assert list(family.members(5)) == []
+        assert family.members_upto_bit(5, 8) == []
 
     def test_settling_oracle(self):
         family = instant_delta3([ODD])

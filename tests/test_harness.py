@@ -30,6 +30,15 @@ def fresh_cli(argv, timeout, prefix=(), **run_options):
                           capture_output=True, text=True, timeout=timeout, **run_options)
 
 
+# sets whose first member, or whose member after 2, is 2**100000000000 or more
+FAR_POWERS = {"kind": "powers", "modulus": "1", "residue": "0", "min_exponent": "100000000000"}
+FAR_COEFF = {"kind": "coeff_powers", "coefficients": ["1"], "step": "100000000000"}
+SPARSE_POWERS = {"kind": "powers", "modulus": "100000000000", "residue": "1", "min_exponent": "0"}
+SPARSE_COEFF = {"kind": "coeff_powers", "coefficients": ["1", "3"], "step": "100000000000"}
+NO_BLOCKS = "only 0 of 1 inhabited blocks above 0 found up to horizon 24"
+NO_BLIND_WITNESS = "no witness for fixture 0 below 65536 (not a claim that none exists)"
+
+
 def _cap_address_space():
     # a regressed guard then fails with MemoryError instead of taking the host's memory
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -603,21 +612,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("far_set", [
-        {"kind": "powers", "modulus": "1", "residue": "0", "min_exponent": "100000000000"},
-        {"kind": "coeff_powers", "coefficients": ["1"], "step": "100000000000"},
+    @pytest.mark.parametrize("catalog, far_set, flags, message", [
+        ("delta3", FAR_POWERS, [], NO_BLOCKS),
+        ("delta3", FAR_POWERS, ["--product"], NO_BLOCKS),
+        ("delta3", FAR_COEFF, ["--product"], NO_BLOCKS),
+        ("delta3", FAR_POWERS, ["--blind"], NO_BLIND_WITNESS),
+        ("delta3", FAR_COEFF, ["--blind", "--product"], NO_BLIND_WITNESS),
+        ("delta3", SPARSE_POWERS, [], "horizon 24 exhausted looking for w1 with low bit "
+                                      "above the pool and the k-settling bound in fixture 0"),
+        ("pi3", SPARSE_POWERS, [], "members below 2**64 exhausted looking for chain start"),
+        ("pi3", SPARSE_COEFF, ["--blind"], "members below 2**64 exhausted at chain length 0 of 3"),
     ])
-    def test_far_out_members_are_never_built(self, far_set, tmp_path):
-        # 2**100000000000 would take 12.5 GB; the members up to the horizon
-        # are read block by block, so the command finds too few of them
-        config = json.loads((ROOT / "configs" / "delta3-instant.json").read_text())
+    def test_far_out_members_are_never_built(self, catalog, far_set, flags, message, tmp_path):
+        # 2**100000000000 would take 12.5 GB; members up to a horizon, a
+        # blind bound or the chain bits are read block by block, so the
+        # command finds too few of them
+        config = json.loads((ROOT / "configs" / ("%s-instant.json" % catalog)).read_text())
         config["families"][0]["set"] = far_set
         path = tmp_path / "far.json"
         path.write_text(json.dumps(config))
-        result = fresh_cli(["delta3", "witness", "--config", str(path), "--index", "0",
-                            "--product"], timeout=30, preexec_fn=_cap_address_space)
-        assert (result.returncode, result.stdout, result.stderr) == (
-            1, "", "error: only 0 of 1 inhabited blocks above 0 found up to horizon 24\n")
+        result = fresh_cli([catalog, "witness", "--config", str(path), "--index", "0", *flags],
+                           timeout=30, preexec_fn=_cap_address_space)
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: %s\n" % message)
 
     @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing",
                                       "index-a-list", "modulus-a-list"])
