@@ -159,6 +159,11 @@ class Delta3Witness:
     def sum_with_x(self) -> int:
         return self.x + self.w1 + self.w2
 
+    def certificates(self) -> dict:
+        """The fixture members summing to each separated sum, keyed by the
+        property that gives that sum."""
+        return {"sum": (self.w1, self.w2), "sum_with_x": tuple(sorted((self.x, self.w1, self.w2)))}
+
 
 def verify_witness(family: Delta3Family, witness: Delta3Witness) -> None:
     """Recompute every claim in a witness from scratch.

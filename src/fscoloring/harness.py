@@ -1,19 +1,21 @@
 """Reproducibility surface: configs, searches, reports and re-verification.
 
-Fixture catalogs load from JSON configuration files; every run that
-claims something writes a JSON report embedding its own configuration,
-and verify_report recomputes each claimed equality or inequality from
-scratch.  All integers in files are encoded as decimal strings (bit
-positions routinely exceed native widths) and payloads are serialized
-with sorted keys, so identical configuration and seed produce
-byte-identical reports.
+Every run that claims something writes a JSON report embedding its own
+inputs, and verify_report recomputes each claim from that file alone.
+The witness dataclass is the one schema of a witness report:
+_witness_payload writes its fields, derived sums and certificates, and
+_verify_witness reads each field back by its annotation.  _CONSTRUCTIONS
+names each construction's family type, witness type, claim and derived
+sums.  Integers in files are decimal strings (bit positions routinely
+exceed native widths) and payloads are serialized with sorted keys, so
+identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import comb
 from typing import Callable, Optional
@@ -206,72 +208,23 @@ def _enc(value):
     return str(value)
 
 
-def delta3_report(config: dict, witness: delta3.Delta3Witness) -> dict:
-    terms = sorted((witness.x, witness.w1, witness.w2))
-    return {
-        "report": "delta3-witness",
-        "claim": (
-            "three pairwise-apart members x << w1 << w2 of the fixture whose sums "
-            "w1+w2 and x+w1+w2 receive different colors"
-        ),
-        "config": config,
-        "index": str(witness.index),
-        "mode": witness.mode,
-        "x": str(witness.x),
-        "w1": str(witness.w1),
-        "w2": str(witness.w2),
-        "sum": str(witness.sum),
-        "sum_with_x": str(witness.sum_with_x),
-        "color_sum": str(witness.color_sum),
-        "color_sum_with_x": str(witness.color_sum_with_x),
-        "certificates": {
-            "sum": [str(witness.w1), str(witness.w2)],
-            "sum_with_x": [str(t) for t in terms],
-        },
-        "bookkeeping": _enc(witness.bookkeeping),
-    }
-
-
-def pi3_report(config: dict, witness: pi3.Pi3Witness) -> dict:
-    start = witness.sums.index(witness.w)
-    w_terms = witness.chain[start:]
-    return {
-        "report": "pi3-witness",
-        "claim": (
-            "a sum w of fixture members whose request value is the fixture's own "
-            "block member x, so w and w+x receive different colors"
-        ),
-        "config": config,
-        "index": str(witness.index),
-        "mode": witness.mode,
-        "block_exponent": str(witness.block_exponent),
-        "x": str(witness.x),
-        "w": str(witness.w),
-        "color_w": str(witness.color_w),
-        "color_w_plus_x": str(witness.color_w_plus_x),
-        "chain": [str(x) for x in witness.chain],
-        "sums": [str(w) for w in witness.sums],
-        "requests": [str(r) for r in witness.requests],
-        "certificates": {
-            "w": [str(t) for t in w_terms],
-            "w_plus_x": [str(t) for t in sorted((witness.x,) + w_terms)],
-        },
-        "bookkeeping": _enc(witness.bookkeeping),
-    }
-
-
-# catalog: (family type, certificate keys of the two sums a product kill
-# compares, taken from the construction's witness report)
+# catalog: (family type, witness type, claim, properties of the witness a
+# report carries beside its fields).  A witness report holds every field of
+# the witness dataclass, those properties and the witness's certificates.
 _CONSTRUCTIONS = {
-    "delta3": (Delta3Family, ("sum", "sum_with_x")),
-    "pi3": (MonotoneFamily, ("w", "w_plus_x")),
+    "delta3": (Delta3Family, delta3.Delta3Witness, (
+        "three pairwise-apart members x << w1 << w2 of the fixture whose sums "
+        "w1+w2 and x+w1+w2 receive different colors"), ("sum", "sum_with_x")),
+    "pi3": (MonotoneFamily, pi3.Pi3Witness, (
+        "a sum w of fixture members whose request value is the fixture's own "
+        "block member x, so w and w+x receive different colors"), ()),
 }
 
 
 def _catalog_family(config: dict, catalog: str):
     family = build_family(config)
     if not isinstance(family, _CONSTRUCTIONS[catalog][0]):
-        raise FixtureError("%s runs need a %s catalog" % (catalog, catalog))
+        raise FixtureError("the config's catalog does not match the %s construction" % catalog)
     return family
 
 
@@ -284,20 +237,24 @@ def _check_family(family, index: int) -> None:
         )
 
 
-def _witness_report(config: dict, family, index: int, mode: str, guards: Guards) -> dict:
-    """Find, verify and report the construction's witness against a fixture."""
+def _find_witness(family, index: int, mode: str, guards: Guards):
+    """Find and verify the construction's witness against a fixture."""
     if isinstance(family, Delta3Family):
-        witness = delta3.find_witness(
-            family, index, mode=mode, bound=guards.blind_bound,
-            horizon=guards.horizon,
-        )
-        return delta3_report(config, witness)
-    witness = pi3.find_witness(
-        family, index, mode=mode,
-        max_request_exponent=guards.request_exponent,
-        chain_bits=guards.chain_bits, horizon=guards.horizon,
-    )
-    return pi3_report(config, witness)
+        return delta3.find_witness(family, index, mode=mode, bound=guards.blind_bound,
+                                   horizon=guards.horizon)
+    return pi3.find_witness(family, index, mode=mode, max_request_exponent=guards.request_exponent,
+                            chain_bits=guards.chain_bits, horizon=guards.horizon)
+
+
+def _witness_payload(catalog: str, config: dict, witness) -> dict:
+    """The report of a witness: its fields, its derived sums and its
+    certificates, beside the config it kills a fixture of."""
+    _family_type, _witness_type, claim, derived = _CONSTRUCTIONS[catalog]
+    payload = {f.name: _enc(getattr(witness, f.name)) for f in fields(witness)}
+    payload.update({key: _enc(getattr(witness, key)) for key in derived})
+    payload.update(report=catalog + "-witness", claim=claim, config=config,
+                   certificates=_enc(witness.certificates()))
+    return payload
 
 
 def _written(payload: dict, out: Optional[str]) -> dict:
@@ -319,7 +276,8 @@ def run_pi3(config: dict, index: int, *, mode: str = "oracle",
 def _run_witness(catalog, config, index, mode, guards, out) -> dict:
     family = _catalog_family(config, catalog)
     _check_family(family, index)
-    return _written(_witness_report(config, family, index, mode, guards), out)
+    witness = _find_witness(family, index, mode, guards)
+    return _written(_witness_payload(catalog, config, witness), out)
 
 
 def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
@@ -332,17 +290,9 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
     family = build_family(config)
     _check_family(family, index)
     ok, certificate = family.weak_apart_on(index, guards.horizon)
-    if ok:
-        branch = "construction"
-        embedded = _witness_report(config, family, index, mode, guards)
-        u_key, v_key = _CONSTRUCTIONS[config["catalog"]][1]
-        u_terms = [int(t) for t in embedded["certificates"][u_key]]
-        v_terms = [int(t) for t in embedded["certificates"][v_key]]
-        u, v = sum(u_terms), sum(v_terms)
-    else:
-        branch = "killer"
-        embedded = None
-        u, v, u_terms, v_terms = _killer_kill(certificate)
+    witness = _find_witness(family, index, mode, guards) if ok else None
+    u_terms, v_terms = witness.certificates().values() if ok else _killer_terms(certificate)
+    u, v = sum(u_terms), sum(v_terms)
     prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
     cu, cv = prod(u), prod(v)
     if cu == cv:
@@ -352,27 +302,29 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
         "claim": "two finite sums of the fixture with different product colors",
         "config": config,
         "index": str(index),
-        "branch": branch,
+        "branch": "construction" if ok else "killer",
         "u": str(u),
         "v": str(v),
         "color_u": [str(c) for c in cu],
         "color_v": [str(c) for c in cv],
         "certificates": {"u": [str(t) for t in u_terms], "v": [str(t) for t in v_terms]},
     }
-    if embedded is not None:
-        payload["witness"] = embedded
+    if ok:
+        payload["witness"] = _witness_payload(config["catalog"], config, witness)
     return _written(payload, out)
 
 
-def _killer_kill(certificate):
+def _killer_terms(certificate):
+    """The terms of two finite sums that the pair coloring separates, from a
+    certificate that the fixture is not weakly apart."""
     if len(certificate) == 2:
         x1, x2 = certificate
-        return x1, x1 + x2, [x1], [x1, x2]
+        return [x1], [x1, x2]
     x1, x2, x3 = certificate
     l = low_bit(x1)
     for a, b in ((x1, x2), (x1, x3), (x2, x3)):
         if (a - b) % (1 << (l + 2)) == 0:
-            return x1, a + b, [x1], sorted((a, b))
+            return [x1], sorted((a, b))
     raise VerificationError(
         "no pair of %r shares a residue two bits above the common low bit" % (certificate,)
     )
@@ -495,6 +447,8 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
                       out: Optional[str] = None) -> dict:
     """Validate tree structure (and optionally the increment contract) for
     seeded random request functions on every block up to max_exponent."""
+    if max_exponent > guards.tree_exponent:
+        raise GuardError("tree_exponent", guards.tree_exponent, max_exponent)
     results = []
     for s in range(1, max_exponent + 1):
         edge_failures = 0
@@ -546,8 +500,7 @@ def verify_report(payload: dict, guards: Guards = Guards()):
     if not isinstance(kind, str):
         return False, ["verification failed: a report is an object with a string kind"]
     verifier = {
-        "delta3-witness": _verify_delta3,
-        "pi3-witness": _verify_pi3,
+        **{catalog + "-witness": _verify_witness for catalog in _CONSTRUCTIONS},
         "product-kill": _verify_product_kill,
         **dict.fromkeys(_RERUNS, _verify_rerun),
     }.get(kind)
@@ -568,39 +521,35 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _report_family(payload, family_type):
-    family = build_family(payload["config"])
-    if not isinstance(family, family_type):
-        raise VerificationError("report kind does not match the embedded catalog")
-    return family
+def _mode(value, name: str) -> str:
+    if value not in ("oracle", "blind"):
+        raise VerificationError("field %s is not 'oracle' or 'blind': %.40r" % (name, value))
+    return value
 
 
-def _verify_delta3(payload, guards):
-    family = _report_family(payload, Delta3Family)
-    witness = delta3.Delta3Witness(
-        **{key: _decimal(payload[key], key) for key in (
-            "index", "x", "w1", "w2", "color_sum", "color_sum_with_x")},
-        mode=payload["mode"],
-    )
-    claimed = tuple(_decimal(payload[key], key) for key in ("sum", "sum_with_x"))
-    if claimed != (witness.sum, witness.sum_with_x):
-        raise VerificationError("claimed sums are inconsistent with x, w1, w2")
+# Readers of witness fields by annotation; mode is a witness's one str
+# field, and bookkeeping, its one dict, is never read.
+_FIELD_READERS = {"int": _decimal, "tuple": _decimals, "str": _mode}
+
+
+def _verify_witness(payload, guards):
+    """Rebuild a witness from its report, each field read by the annotation
+    the witness dataclass gives it, and recompute every claim in it."""
+    catalog = payload["report"].removesuffix("-witness")
+    _family_type, witness_type, _claim, derived = _CONSTRUCTIONS[catalog]
+    family = _catalog_family(payload["config"], catalog)
+    witness = witness_type(**{
+        f.name: reader(payload[f.name], f.name) for f in fields(witness_type)
+        if (reader := _FIELD_READERS.get(getattr(f.type, "__name__", f.type)))
+    })
+    for key in derived:
+        if _decimal(payload[key], key) != getattr(witness, key):
+            raise VerificationError("claimed %s is inconsistent with the witness fields" % key)
     _check_certificates(payload, family, witness.index,
-                        {"sum": witness.sum, "sum_with_x": witness.sum_with_x})
-    delta3.verify_witness(family, witness)
-    return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)]
-
-
-def _verify_pi3(payload, guards):
-    family = _report_family(payload, MonotoneFamily)
-    witness = pi3.Pi3Witness(
-        **{key: _decimal(payload[key], key) for key in (
-            "index", "block_exponent", "x", "w", "color_w", "color_w_plus_x")},
-        **{key: _decimals(payload[key], key) for key in ("chain", "sums", "requests")},
-        mode=payload["mode"],
-    )
-    _check_certificates(payload, family, witness.index,
-                        {"w": witness.w, "w_plus_x": witness.w + witness.x})
+                        {key: getattr(witness, key) for key in witness.certificates()})
+    if catalog == "delta3":
+        delta3.verify_witness(family, witness)
+        return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)]
     pi3.verify_witness(family, witness, chain_bits=guards.chain_bits)
     return ["witness (n=%d, x=%d, w=%d) re-verified" % (witness.block_exponent, witness.x, witness.w)]
 
@@ -630,8 +579,13 @@ def _verify_product_kill(payload, guards):
     if cu == cv:
         raise VerificationError("product colors agree")
     _check_certificates(payload, family, index, {"u": u, "v": v})
-    details = ["product kill of fixture %d via %s branch re-verified" % (index, payload["branch"])]
-    if "witness" in payload:
+    embedded = "witness" in payload
+    branch = "construction" if embedded else "killer"
+    if payload["branch"] != branch:
+        raise VerificationError("field branch is %.40r, but a kill %s an embedded witness is a %s kill"
+                                % (payload["branch"], "with" if embedded else "without", branch))
+    details = ["product kill of fixture %d via %s branch re-verified" % (index, branch)]
+    if embedded:
         ok, inner = verify_report(payload["witness"], guards)
         if not ok:
             raise VerificationError("embedded witness failed: %s" % "; ".join(inner))
@@ -666,6 +620,16 @@ def _rerun_eval(payload, guards):
     if not (isinstance(values, list) and len(values) == size):
         raise VerificationError("field values must list one entry per vertex, %d in all" % size)
     return eval_table(_object(payload["coloring"], "coloring"), start, end)
+
+
+def _rerun_tree_check(payload, guards):
+    contract = payload["contract"]
+    if not isinstance(contract, bool):
+        raise VerificationError("field contract is not a JSON boolean: %.40r" % (contract,))
+    return tree_check_report(
+        *(_decimal(payload[key], key) for key in ("max_exponent", "functions", "seed")),
+        _decimals(payload["moduli"], "moduli"), contract=contract, guards=guards,
+    )
 
 
 def _extraction_detail(payload):
@@ -703,10 +667,7 @@ _RERUNS = {
         lambda p: "%d table entries re-verified" % len(p["values"]),
     ),
     "tree-check": (
-        lambda p, guards: tree_check_report(
-            *(_decimal(p[key], key) for key in ("max_exponent", "functions", "seed")),
-            _decimals(p["moduli"], "moduli"), contract=p["contract"], guards=guards,
-        ),
+        _rerun_tree_check,
         ("results", "ok"), "recomputed tree check differs",
         lambda p: "tree check re-verified (ok=%s)" % p["ok"],
     ),

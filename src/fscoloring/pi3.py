@@ -396,6 +396,18 @@ class Pi3Witness:
     mode: str
     bookkeeping: dict = field(default_factory=dict)
 
+    @property
+    def w_plus_x(self) -> int:
+        return self.w + self.x
+
+    def certificates(self) -> dict:
+        """The fixture members summing to w (the chain suffix whose sum it
+        is) and to w + x, keyed by the field or property that gives each sum."""
+        if self.w not in self.sums:
+            raise VerificationError("w is not a suffix sum of the chain")
+        w_terms = self.chain[self.sums.index(self.w):]
+        return {"w": w_terms, "w_plus_x": tuple(sorted((self.x,) + w_terms))}
+
 
 def find_witness(family, i, *, mode="oracle",
                  max_request_exponent=Guards.request_exponent,

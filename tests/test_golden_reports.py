@@ -1,13 +1,15 @@
-"""Golden digests of eval, tree-check and witness reports.
+"""Golden digests of eval, tree-check, search, extraction and witness reports.
 
 Reports are byte-identical for identical inputs, so the SHA-256 of each
 report file pins every value in it.  The eval and tree-check digests were
 recorded with the per-vertex evaluators that preceded block-at-a-time
 evaluation; the witness digests with the per-family memo registries that
 preceded one explicit engine per run; the extraction digests with the
-element-by-element scan that preceded solving progressions in closed form.  Any change to an evaluator or a
-construction that alters a single color, request, chain or bookkeeping
-value shows here.
+element-by-element scan that preceded solving progressions in closed form;
+the search and killer-branch product kill digests with the hand-written
+witness report writers that preceded writing reports from the witness
+dataclasses.  Any change to an evaluator or a construction that alters a
+single color, request, chain or bookkeeping value shows here.
 """
 
 import hashlib
@@ -73,6 +75,21 @@ GOLDEN = {
         ["apartness", "extract", "--stream", "arith:5:2", "--count", "10"],
         "9ebc47ae2c6aaf0f9010c661eca1da70739039c9e0c0eb0ff9ef6392f8bbff25",
     ),
+    **{
+        "search-mono/" + coloring: (
+            ["search-mono", "--coloring", coloring, "--max-terms", "3", "--bound", "48",
+             "--size", "5"],
+            digest,
+        )
+        for coloring, digest in (
+            ("killer", "ec90639bbc8c8980362fd0cf9ea176c258e2dd0c3b05e42b88e1be41bb63d792"),
+            ("popcount", "0cdaed8882b8e46e5b1e7f391e7c60c39e49cb39f0e91289a602a7395906eed9"),
+            ("delta3", "23fd1e2fef9d463aa737c7ea768f6451e213d437b34b3af0c9fd86574685a649"),
+            ("pi3", "183d0098d0e6800367f31bcf90312e79c0df3e99d3f9592b11ae5a82d29f29a6"),
+            ("tree-default", "844faf87701c4ef9785d6f4187d23fab1c454ceb8da1cb79346d60914b896d7f"),
+            ("tree-random", "91aaf4ddd30ce87f71285760afde96f909fd81daac73a72edca739337bbcd7ef"),
+        )
+    },
 }
 
 
@@ -87,7 +104,7 @@ def test_report_digest(name, tmp_path, capsys):
 
 
 # "<config stem>/<index>/<oracle|blind>/<plain|product>": SHA-256 of the
-# witness report of configs/<config stem>.json.
+# witness or product kill report of configs/<config stem>.json.
 WITNESS_GOLDEN = {
     "delta3-delayed/0/oracle/plain": "ddb4e198154760b8e0c8f7ffe26af59577b4746b69f9d39be488d060893ed61d",
     "delta3-delayed/0/oracle/product": "8efc1775f6004d0d50d0bf3cd720559e23b872eecc267bb77cd527bb15e0fb85",
@@ -129,6 +146,17 @@ WITNESS_GOLDEN = {
     "pi3-instant/1/oracle/product": "0f5e95c367e215e06b9d911771ac597e6b63dc8aed3edcb5062a53edeeb4458d",
     "pi3-instant/1/blind/plain": "edba8e086fb494b7c7450d2e3b6aaeb06f76db1c04835fb4f5123adf4e886124",
     "pi3-instant/1/blind/product": "4eb520743e29a34765b41e85cd04b9eaa0485e93cf38df298f7a6ccfd4bf92c0",
+    # index 2 of every catalog is not weakly apart: killer-branch product kills
+    "delta3-delayed/2/oracle/product": "4a99872e68e2ffeedb4728d8991329a4a4e8ca9c64d39d5abd82264671732f2e",
+    "delta3-delayed/2/blind/product": "4a99872e68e2ffeedb4728d8991329a4a4e8ca9c64d39d5abd82264671732f2e",
+    "delta3-growing/2/oracle/product": "ebc017f390f03b6e4314f208ca3da0aee8e915173648a3f5b7032d109052eff8",
+    "delta3-growing/2/blind/product": "ebc017f390f03b6e4314f208ca3da0aee8e915173648a3f5b7032d109052eff8",
+    "delta3-instant/2/oracle/product": "5fafb5f9eaa6fbc675649f3c79f7137614a3dcac832408948c1902adeeade7a6",
+    "delta3-instant/2/blind/product": "5fafb5f9eaa6fbc675649f3c79f7137614a3dcac832408948c1902adeeade7a6",
+    "pi3-delayed/2/oracle/product": "6e42af84e594e21fd94bad5b3486a5cfab45b129202b909f34a56a62e40e2ec6",
+    "pi3-delayed/2/blind/product": "6e42af84e594e21fd94bad5b3486a5cfab45b129202b909f34a56a62e40e2ec6",
+    "pi3-instant/2/oracle/product": "70a3646f35f60902ad63d150181d7dac18cdd84229e1534de5f9c2779b2314ba",
+    "pi3-instant/2/blind/product": "70a3646f35f60902ad63d150181d7dac18cdd84229e1534de5f9c2779b2314ba",
 }
 
 

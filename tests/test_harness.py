@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -693,6 +694,9 @@ def _sweep_report(kind) -> str:
         "product-kill": lambda: harness.run_product_kill(harness.default_config("delta3"), 0),
         "eval-table": lambda: harness.eval_table(
             {"id": "tree-random", "modulus": "2", "seed": "0"}, 4, 7),
+        "search-mono": lambda: harness.search_report(
+            {"id": "tree-random", "modulus": "2", "seed": "0"}, 2, 16, 3),
+        "tree-check": lambda: harness.tree_check_report(3, 2, 7, [2, 3]),
     }[kind]()
     return json.dumps(payload)
 
@@ -707,28 +711,115 @@ REPORT_FIELDS = {
     "product-kill": ("report", "claim", "config", "index", "branch", "u", "v", "color_u",
                      "color_v", "certificates", "witness"),
     "eval-table": ("report", "coloring", "arity", "start", "end", "values"),
+    "search-mono": ("report", "claim", "coloring", "max_terms", "bound", "size", "outcome",
+                    "found", "colors"),
+    "tree-check": ("report", "claim", "max_exponent", "functions", "seed", "moduli",
+                   "contract", "results", "ok"),
 }
+
+# Objects nested in a report whose every field the sweep mutates too, as
+# dotted paths (a number indexes a list).
+NESTED_OBJECTS = {
+    "delta3-witness": ("config.families.0", "config.families.0.set", "certificates"),
+    "pi3-witness": ("config.families.0", "config.families.0.set", "certificates"),
+    "product-kill": ("config.families.0", "config.families.0.set", "certificates", "witness"),
+    "eval-table": ("coloring",),
+    "search-mono": ("coloring",),
+}
+
+SWEEP_VALUES = ([], None, "x", {"a": 1}, 5, "-1", "99")
+
+
+def _nested(payload, path):
+    for part in path.split(".") if path else ():
+        payload = payload[int(part)] if isinstance(payload, list) else payload[part]
+    return payload
+
+
+def _verify_mutation(kind, path, field, value, tmp_path, capsys):
+    """verify of the sweep report of kind with one field of the object at
+    path set to value: its exit codes and one failure line, never a traceback."""
+    payload = json.loads(_sweep_report(kind))
+    _nested(payload, path)[field] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    code = cli.main(["verify", str(report)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (path, field, value, captured)
+    assert "Traceback" not in captured.out + captured.err
+    if code == 1:
+        assert captured.out.splitlines()[-1] == "VERIFICATION FAILED", (path, field, value)
+        assert captured.err == "" and len(captured.out.splitlines()) == 2, (path, field, value)
 
 
 @pytest.mark.parametrize("kind, field", [
     (kind, field) for kind, fields in REPORT_FIELDS.items() for field in fields])
 def test_verify_mutated_report(kind, field, tmp_path, capsys):
-    # every top-level field of a witness, product-kill or eval report set to
-    # each JSON shape in turn: verify answers with its exit codes and one
-    # failure line, never a traceback
+    # every top-level field of a report of each kind set to each JSON shape,
+    # a negative and a large decimal in turn
     assert sorted(json.loads(_sweep_report(kind))) == sorted(REPORT_FIELDS[kind])
-    for value in ([], None, "x", {"a": 1}, 5):
-        payload = json.loads(_sweep_report(kind))
+    for value in SWEEP_VALUES:
+        _verify_mutation(kind, "", field, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("kind, path", [
+    (kind, path) for kind, paths in NESTED_OBJECTS.items() for path in paths])
+def test_verify_mutated_nested_field(kind, path, tmp_path, capsys):
+    # every field of an object nested in a report (a config family and its
+    # set, the certificates, a coloring, a product kill's embedded witness)
+    # set to each value of the sweep in turn
+    fields = sorted(_nested(json.loads(_sweep_report(kind)), path))
+    assert fields
+    for field in fields:
+        for value in SWEEP_VALUES:
+            _verify_mutation(kind, path, field, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("kind, field, value, named", [
+    ("delta3-witness", "mode", "x", "mode"),
+    ("delta3-witness", "mode", [], "mode"),
+    ("delta3-witness", "mode", None, "mode"),
+    ("product-kill", "branch", "killer", "branch"),   # relabelled construction kill
+    ("product-kill", "witness", "deleted", "branch"),  # construction kill without its witness
+    ("tree-check", "contract", "x", "contract"),
+    ("tree-check", "contract", None, "contract"),
+])
+def test_verify_reads_mode_branch_and_contract(kind, field, value, named, tmp_path, capsys):
+    # each of these reports used to verify; verify now refuses each with one
+    # line naming the field
+    payload = json.loads(_sweep_report(kind))
+    if value == "deleted":
+        del payload[field]
+    else:
         payload[field] = value
-        report = tmp_path / "report.json"
-        report.write_text(json.dumps(payload))
-        code = cli.main(["verify", str(report)])
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2), (value, captured)
-        assert "Traceback" not in captured.out + captured.err
-        if code == 1:
-            assert captured.out.splitlines()[-1] == "VERIFICATION FAILED", value
-            assert captured.err == "" and len(captured.out.splitlines()) == 2, value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and lines[1:] == ["VERIFICATION FAILED"]
+    assert lines[0].startswith("verification failed: field %s " % named), lines[0]
+
+
+def test_tree_check_guard_refuses_before_building(tmp_path, capsys):
+    # the tree exponent guard is checked before any tree is built, by the
+    # command and by verify of a report that asks for exponent 99
+    started = time.perf_counter()
+    assert cli.main(["tree", "check", "--max-exponent", "99", "--functions", "2"]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == (
+        "", "error: guard 'tree_exponent' exceeded: requested 99, bound 16\n")
+    payload = json.loads(_sweep_report("tree-check"))
+    payload["max_exponent"] = "99"
+    report = tmp_path / "tree.json"
+    report.write_text(json.dumps(payload))
+    started = time.perf_counter()
+    assert cli.main(["verify", str(report)]) == 1
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verification failed: guard 'tree_exponent' exceeded: requested 99, bound 16",
+        "VERIFICATION FAILED",
+    ]
 
 
 @pytest.mark.parametrize("field, value, message", [
