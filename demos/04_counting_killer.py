@@ -12,8 +12,8 @@ two finite sums of the fixture with different colors.
 Run with:  python demos/04_counting_killer.py
 """
 
-from fscoloring import monotone_catalog
-from fscoloring.families import SetSpec, monotone_from_sets
+from fscoloring import MonotoneFamily, monotone_catalog
+from fscoloring.families import SetSpec
 from fscoloring.pi3 import (
     Pi3Engine,
     build_chain,
@@ -59,7 +59,7 @@ for w, value in spread.pairs():
 
 print()
 print("A deeper fixture stabilizes at exponent 3 and exhausts its block:")
-deep = monotone_from_sets([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
+deep = MonotoneFamily([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
 spread = distinct_requests(Pi3Engine(deep), 0, 3)
 print("  chain of %d members up to 2^%d; request values %r"
       % (len(spread.chain.elements), spread.chain.final_stage, sorted(spread.requests)))

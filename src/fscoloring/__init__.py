@@ -27,13 +27,9 @@ from .errors import (
 from .families import (
     Delta3Family,
     MonotoneFamily,
-    MonotoneSchedule,
     SetSpec,
-    delayed_delta3,
     delta3_catalog,
-    instant_delta3,
     monotone_catalog,
-    monotone_from_sets,
     validate_family,
 )
 from .treecolor import (

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .dyadic import apart, low_bit, top_bit
+from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards
 
 

@@ -8,6 +8,9 @@ The limit constructions consume two kinds of indexed families:
   where x belongs to the i-th set iff the stage limit stays finite for
   every y.
 
+Each family stores its schedule as data that its constructor checks: a
+DelaySchedule per set, or an integer ceiling per set and a ramp lag.
+
 True universal enumerations of such families are not implementable, so
 every family here is backed by set descriptors: one SetSpec per index,
 a decidable, increasingly enumerable set.  The descriptors give exact
@@ -28,7 +31,7 @@ import heapq
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .dyadic import has_weak_apartness, top_bit
 from .errors import FixtureError
@@ -178,9 +181,6 @@ class SetSpec:
             if top_bit(c) <= n and (n - top_bit(c)) % self.step == 0
         })
 
-    def is_finite(self) -> bool:
-        return self.kind == "explicit"
-
     def to_payload(self) -> dict:
         if self.kind == "explicit":
             return {"kind": "explicit", "elements": [str(x) for x in self.elements]}
@@ -225,8 +225,8 @@ class SetSpec:
 class SetFamily:
     """Truth, member enumeration and weak apartness over a tuple of SetSpec.
 
-    truth, block_members and members_upto_bit read indices outside the
-    catalog as the empty set.
+    truth, block_members, members_upto_bit and weak_apart_on read indices
+    outside the catalog as the empty set.
     """
 
     def __init__(self, sets: Iterable[SetSpec], description=""):
@@ -250,7 +250,7 @@ class SetFamily:
         return self.sets[i].members_upto_bit(horizon)
 
     def weak_apart_on(self, i, horizon):
-        return has_weak_apartness(self.sets[i].members_upto_bit(horizon))
+        return has_weak_apartness(self.members_upto_bit(i, horizon))
 
     @staticmethod
     def _least_non_member(n, members) -> Optional[int]:
@@ -334,51 +334,8 @@ class Delta3Family(SetFamily):
         return self.delay[i](k)
 
 
-def instant_delta3(sets: Iterable[SetSpec], description="instant") -> Delta3Family:
-    """Fixture whose staged values equal truth at every (k, s)."""
-    return Delta3Family(sets=sets, description=description)
-
-
-def delayed_delta3(sets: Iterable[SetSpec], delay: DelaySchedule,
-                   description="delayed") -> Delta3Family:
-    """Fixture that reports the complement of truth before its delay stage.
-
-    The one DelaySchedule applies to every set: staged values match truth
-    from stage delay(k) on.
-    """
-    sets = tuple(sets)
-    return Delta3Family(sets=sets, delay=(delay,) * len(sets), description=description)
-
-
 # ---------------------------------------------------------------------------
 # Counting-approximation families (monotone in y and s)
-
-
-@dataclass(frozen=True)
-class MonotoneSchedule:
-    """Member ceiling profile plus the shared divergence ramp.
-
-    Members settle to ceiling(i, x, y); everything else follows
-    ramp(s) = max(0, s - ramp_lag), the simplest monotone unbounded
-    profile.  ceiling must be non-decreasing in y.
-    """
-
-    ceiling: Callable[[int, int, int], int] = None
-    ramp_lag: int = 0
-
-    def ceiling_value(self, i, x, y) -> int:
-        if self.ceiling is None:
-            return 0
-        return self.ceiling(i, x, y)
-
-    def ramp(self, s) -> int:
-        return max(0, s - self.ramp_lag)
-
-    def ramp_inverse(self, target) -> int:
-        """Least stage s with ramp(s) >= target."""
-        if target <= 0:
-            return 0
-        return target + self.ramp_lag
 
 
 class MonotoneFamily(SetFamily):
@@ -386,7 +343,11 @@ class MonotoneFamily(SetFamily):
 
     evaluate(i, x, y, s) is total and non-decreasing in y and in s;
     membership in the i-th set means the stage limit is finite for every
-    y.  Indices outside the catalog behave as the empty set (pure ramp).
+    y.  Members of the i-th set settle to its ceiling, ceilings[i];
+    everything else follows the ramp max(0, s - ramp_lag), the simplest
+    monotone unbounded profile.  Indices outside the catalog behave as the
+    empty set (pure ramp).  The constructor checks the ceilings exactly:
+    one per set, none negative.
 
     block_min provides the minimum evaluate-value over a whole block
     together with its least witness.  It reads evaluate itself, but only
@@ -395,27 +356,22 @@ class MonotoneFamily(SetFamily):
     even at block exponents near 60 and follow any override of evaluate.
     """
 
-    def __init__(self, sets: Iterable[SetSpec], schedule: Optional[MonotoneSchedule] = None,
-                 description=""):
+    def __init__(self, sets: Iterable[SetSpec], ceilings=None, ramp_lag=0, description=""):
         super().__init__(sets, description)
-        self.schedule = schedule or MonotoneSchedule()
+        self.ceilings = tuple(ceilings) if ceilings is not None else (0,) * self.count
+        self.ramp_lag = ramp_lag
+        if len(self.ceilings) != self.count:
+            raise FixtureError("a counting family needs one ceiling per set")
+        for position, ceiling in enumerate(self.ceilings):
+            if ceiling < 0:
+                raise FixtureError("family entry %d has a negative ceiling %d" % (position, ceiling))
 
     def evaluate(self, i, x, y, s) -> int:
-        """min(ceiling, ramp) on members, ramp elsewhere.
-
-        The schedule's ramp max(0, s - ramp_lag) and its ceiling (0 when
-        missing) are inlined, since block_min reads this on every guess
-        and validate_family probes it thousands of times per family it
-        checks; a test pins them to ramp and ceiling_value.
-        """
-        schedule = self.schedule
-        lag = schedule.ramp_lag
-        ramp = s - lag if s > lag else 0
-        if not (0 <= i < self.count and self.sets[i].contains(x)):
-            return ramp
-        ceiling = schedule.ceiling
-        value = 0 if ceiling is None else ceiling(i, x, y)
-        return ramp if ramp < value else value
+        """min(ceiling, ramp) on members, ramp elsewhere."""
+        ramp = max(0, s - self.ramp_lag)
+        if 0 <= i < self.count and self.sets[i].contains(x):
+            return min(self.ceilings[i], ramp)
+        return ramp
 
     def block_min(self, i, n, y, s):
         """(min evaluate over the block at exponent n, least witness); every
@@ -427,42 +383,19 @@ class MonotoneFamily(SetFamily):
 
     # Settling oracle.
     def member_limit(self, i, x, y) -> int:
-        return self.schedule.ceiling_value(i, x, y)
+        return self.ceilings[i] if 0 <= i < self.count else 0
 
     def member_constant_stage(self, i, x, y) -> int:
         """Stage from which evaluate(i, x, y, .) is constant."""
-        return self.schedule.ramp_inverse(self.schedule.ceiling_value(i, x, y))
+        return self.divergence_stage(i, x, y, self.member_limit(i, x, y))
 
     def divergence_stage(self, i, x, y, target) -> int:
-        """Stage from which non-member values are at least target."""
-        return self.schedule.ramp_inverse(target)
+        """Least stage from which non-member values, the ramp, reach target."""
+        return target + self.ramp_lag if target > 0 else 0
 
     def block_limit(self, i, n, y) -> Optional[int]:
         """Stage limit of the block minimum; None when the block is empty."""
         return min((self.member_limit(i, x, y) for x in self.block_members(i, n)), default=None)
-
-
-def monotone_from_sets(sets: Iterable[SetSpec], schedule: Optional[MonotoneSchedule] = None,
-                       description="monotone") -> MonotoneFamily:
-    """Build a counting fixture, rejecting schedules that break monotonicity.
-
-    The ceiling profile is probed on a small grid; a ceiling decreasing in
-    y would silently break the limit semantics downstream, so it is
-    rejected here.
-    """
-    family = MonotoneFamily(sets, schedule, description=description)
-    sched = family.schedule
-    for i in range(family.count):
-        probe = family.sets[i].members_upto_bit(8)[:4]
-        for x in probe:
-            values = [sched.ceiling_value(i, x, y) for y in range(0, 24, 3)]
-            if any(a > b for a, b in zip(values, values[1:])):
-                raise FixtureError(
-                    "ceiling profile decreases in y for index %d at x=%d" % (i, x)
-                )
-            if any(v < 0 for v in values):
-                raise FixtureError("ceiling must be nonnegative")
-    return family
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +578,10 @@ def build_family(config: dict):
 
     This is the one check of a config, and it is exact: every integer
     field must be a decimal string, every set descriptor valid and every
-    ceiling nonnegative.  Such a family satisfies validate_family's
-    properties by construction: its staged values are truth or its
-    complement against an integer delay, or min(ceiling, ramp) with a
-    constant ceiling, so no sampling is needed.
+    ceiling nonnegative (MonotoneFamily checks that).  Such a family
+    satisfies validate_family's properties by construction: its staged
+    values are truth or its complement against an integer delay, or
+    min(ceiling, ramp) with a constant ceiling, so no sampling is needed.
     """
     if not isinstance(config, dict):
         raise FixtureError("a config must be an object, got %s" % type(config).__name__)
@@ -681,15 +614,9 @@ def build_family(config: dict):
         return Delta3Family(sets=sets, delay=delay, description="config:delta3")
     if any(kind != "monotone" for kind in kinds):
         raise FixtureError("pi3 catalogs allow the kind 'monotone' only")
-    ceilings = tuple(integers("ceiling"))
-    for position, ceiling in enumerate(ceilings):
-        if ceiling < 0:
-            raise FixtureError("family entry %d has a negative ceiling %d" % (position, ceiling))
-    schedule = MonotoneSchedule(
-        ceiling=lambda i, x, y: ceilings[i] if 0 <= i < len(ceilings) else 0,
-        ramp_lag=_decimal(config.get("ramp_lag", "0"), "ramp_lag"),
-    )
-    return MonotoneFamily(sets, schedule, description="config:pi3")
+    return MonotoneFamily(sets, integers("ceiling"),
+                          _decimal(config.get("ramp_lag", "0"), "ramp_lag"),
+                          description="config:pi3")
 
 
 def delta3_catalog(variant="instant") -> Delta3Family:

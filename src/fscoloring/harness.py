@@ -586,11 +586,27 @@ def _verify_product_kill(payload, guards):
                                 % (payload["branch"], "with" if embedded else "without", branch))
     details = ["product kill of fixture %d via %s branch re-verified" % (index, branch)]
     if embedded:
+        _check_embedded_witness(payload, index)
         ok, inner = verify_report(payload["witness"], guards)
         if not ok:
             raise VerificationError("embedded witness failed: %s" % "; ".join(inner))
         details += inner
     return details
+
+
+def _check_embedded_witness(payload, index) -> None:
+    """A product kill's embedded witness is a construction witness of the
+    kill's own config and fixture, whose two certificates are u and v."""
+    witness = _object(payload["witness"], "witness")
+    kind = payload["config"]["catalog"] + "-witness"
+    if witness.get("report") != kind or witness.get("config") != payload["config"]:
+        raise VerificationError("the embedded witness is not a %s of the kill's config" % kind)
+    if _decimal(witness.get("index"), "witness.index") != index:
+        raise VerificationError("the embedded witness is not of fixture %d" % index)
+    certificates = _object(witness.get("certificates"), "witness.certificates")
+    terms = [_decimals(values, "witness.certificates") for values in certificates.values()]
+    if terms != [_decimals(payload["certificates"][key], "certificates.%s" % key) for key in "uv"]:
+        raise VerificationError("the embedded witness's certificates are not the kill's u and v")
 
 
 def _verify_rerun(payload, guards):

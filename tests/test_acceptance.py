@@ -20,7 +20,7 @@ from fscoloring.dyadic import (
     top_bit,
 )
 from fscoloring.errors import WitnessSearchError
-from fscoloring.families import SetSpec, delta3_catalog, monotone_catalog, monotone_from_sets
+from fscoloring.families import MonotoneFamily, SetSpec, delta3_catalog, monotone_catalog
 from fscoloring.treecolor import (
     MemoRequest,
     TriRequestFunction,
@@ -198,7 +198,7 @@ def test_criterion_6_membership_construction_end_to_end():
 def test_criterion_7_counting_construction_end_to_end():
     started = time.monotonic()
     catalog = monotone_catalog("instant")
-    deep = monotone_from_sets(
+    deep = MonotoneFamily(
         [SetSpec.powers(modulus=2, residue=1, min_exponent=3)], description="deep"
     )
     plans = [(catalog, 0, 1), (catalog, 1, 2), (deep, 0, 3)]

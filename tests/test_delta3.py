@@ -5,7 +5,7 @@ import pytest
 from fscoloring import delta3
 from fscoloring.dyadic import apart, block, finite_sums, low_bit, top_bit
 from fscoloring.errors import VerificationError, WitnessSearchError
-from fscoloring.families import DelaySchedule, SetSpec, delayed_delta3, delta3_catalog, instant_delta3
+from fscoloring.families import DelaySchedule, Delta3Family, SetSpec, delta3_catalog
 from fscoloring.treecolor import block_max
 
 
@@ -52,7 +52,7 @@ class TestChooser:
         assert delta3.chooser(catalog, 1, 40) == 0
         assert delta3.chooser(catalog, 2, 40) == 1
         # exponent claimed by no candidate set: falls back to itself
-        sparse = instant_delta3([SetSpec.explicit([9])])
+        sparse = Delta3Family([SetSpec.explicit([9])])
         assert delta3.chooser(sparse, 2, 16) == 2
 
     def test_requires_low_bit(self, catalog):
@@ -66,7 +66,7 @@ class TestRequest:
         assert delta3.request(catalog, 0, 40) == 1
         # fallback index out of the catalog: staged values vanish, so the
         # request is the block maximum
-        sparse = instant_delta3([SetSpec.explicit([9])])
+        sparse = Delta3Family([SetSpec.explicit([9])])
         assert delta3.request(sparse, 2, 16) == block_max(2)
 
     def test_type_soundness(self, catalog):
@@ -199,9 +199,9 @@ class TestFindWitness:
 def test_quantifier_order_with_growing_delay():
     # settling in s depends on k, so the stage bound must be recomputed
     # after w1 fixes k; a witness still exists
-    family = delayed_delta3(
+    family = Delta3Family(
         [SetSpec.powers(modulus=2, residue=1, min_exponent=1)],
-        DelaySchedule(base=1, per_k=2),
+        [DelaySchedule(base=1, per_k=2)],
     )
     witness = delta3.find_witness(family, 0)
     k = low_bit(witness.w1)
@@ -227,8 +227,8 @@ CANDIDATE_FAMILIES = {
     "delayed": lambda: delta3_catalog("delayed"),
     "growing": lambda: delta3_catalog("growing"),
     # one family whose first member sits at exponent 13
-    "deep": lambda: delayed_delta3([SetSpec.powers(modulus=2, residue=1, min_exponent=13)],
-                                   DelaySchedule(base=3, per_k=1)),
+    "deep": lambda: Delta3Family([SetSpec.powers(modulus=2, residue=1, min_exponent=13)],
+                                 [DelaySchedule(base=3, per_k=1)]),
 }
 
 

@@ -16,14 +16,10 @@ from fscoloring.families import (
     Delta3Family,
     DelaySchedule,
     MonotoneFamily,
-    MonotoneSchedule,
     SetSpec,
     build_family,
-    delayed_delta3,
     delta3_catalog,
-    instant_delta3,
     monotone_catalog,
-    monotone_from_sets,
     validate_family,
 )
 from fscoloring.treecolor import _mix
@@ -49,7 +45,6 @@ class TestSetSpec:
         spec = SetSpec.explicit([12, 3, 48])
         assert spec.elements == (3, 12, 48)
         assert spec.contains(12) and not spec.contains(4)
-        assert spec.is_finite()
 
     def test_coeff_powers(self):
         spec = SetSpec.coeff_powers((4, 6), step=2)
@@ -87,7 +82,7 @@ class TestSetSpec:
 
 class TestInstant:
     def test_examples(self):
-        family = instant_delta3([ODD])
+        family = Delta3Family([ODD])
         assert family.evaluate(0, 8, 3, 7) == 1
         assert family.evaluate(0, 4, 0, 0) == 0
         # constant in both stage parameters
@@ -97,20 +92,20 @@ class TestInstant:
             assert family.evaluate(0, x, 9, 2) == truth
 
     def test_out_of_range_index(self):
-        family = instant_delta3([ODD])
+        family = Delta3Family([ODD])
         assert family.evaluate(5, 8, 0, 0) == 0
         assert family.truth(5, 8) == 0
         assert family.members_upto_bit(5, 8) == []
 
     def test_settling_oracle(self):
-        family = instant_delta3([ODD])
+        family = Delta3Family([ODD])
         assert family.settle_k(0, [8, 9]) == 0
         assert family.settle_s(0, 4, [8, 9]) == 0
 
 
 class TestDelayed:
     def test_constant_delay(self):
-        family = delayed_delta3([ODD], DelaySchedule(base=5))
+        family = Delta3Family([ODD], [DelaySchedule(base=5)])
         assert family.evaluate(0, 8, 2, 4) == 0  # flipped before stage 5
         assert family.evaluate(0, 8, 2, 5) == 1
         assert family.evaluate(0, 9, 2, 4) == 1  # non-member flips to 1
@@ -119,7 +114,7 @@ class TestDelayed:
             assert family.evaluate(0, 8, 2, s) == 1
 
     def test_growing_delay(self):
-        family = delayed_delta3([ODD], DelaySchedule(base=3, per_k=1))
+        family = Delta3Family([ODD], [DelaySchedule(base=3, per_k=1)])
         assert family.settle_s(0, 4, [8]) == 7
         assert family.evaluate(0, 8, 4, 6) == 0
         assert family.evaluate(0, 8, 4, 7) == 1
@@ -132,9 +127,9 @@ class TestBlockFirst:
     )
     def test_matches_scan(self, path):
         if path is None:
-            family = delayed_delta3(
+            family = Delta3Family(
                 [SetSpec.explicit([3, 12, 13, 48, 200]), SetSpec.coeff_powers((3, 5), step=1)],
-                DelaySchedule(base=2, per_k=1),
+                [DelaySchedule(base=2, per_k=1)] * 2,
             )
         else:
             family = build_family(json.loads(path.read_text(encoding="utf-8")))
@@ -145,7 +140,7 @@ class TestBlockFirst:
                         assert family.block_first(i, n, k, s) == scan_first(family, i, n, k, s)
 
     def test_examples(self):
-        family = delayed_delta3([ODD], DelaySchedule(base=5))
+        family = Delta3Family([ODD], [DelaySchedule(base=5)])
         assert family.block_first(0, 3, 0, 5) == 8  # settled: the least member
         assert family.block_first(0, 2, 0, 5) is None  # settled on an empty block
         assert family.block_first(0, 3, 0, 4) == 9  # before the delay: least non-member
@@ -158,12 +153,12 @@ class TestBlockFirst:
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            instant_delta3([ODD]).block_first(0, -1, 0, 0)
+            Delta3Family([ODD]).block_first(0, -1, 0, 0)
 
 
 class TestMonotone:
     def test_member_and_ramp(self):
-        family = monotone_from_sets([ODD])
+        family = MonotoneFamily([ODD])
         assert all(family.evaluate(0, 2, y, s) == 0 for y in range(5) for s in range(5))
         for y in range(4):
             assert [family.evaluate(0, 3, y, s) for s in range(5)] == [0, 1, 2, 3, 4]
@@ -196,7 +191,7 @@ class TestMonotone:
             def evaluate(self, i, x, y, s):
                 return super().evaluate(i, x, y, s) + 3 * self.truth(i, x)
 
-        family = Raised(CATALOG_SETS, MonotoneSchedule(ceiling=lambda i, x, y: 2, ramp_lag=6))
+        family = Raised(CATALOG_SETS, [2] * len(CATALOG_SETS), ramp_lag=6)
         for i in range(family.count + 1):
             for n in range(0, 8):
                 for y in (1, 4):
@@ -213,17 +208,23 @@ class TestMonotone:
         assert family.block_limit(2, 2, 5) == 2  # 4 and 6 both settle to 2
 
     def test_out_of_range_index_diverges(self):
-        family = monotone_from_sets([ODD])
+        family = MonotoneFamily([ODD])
         assert family.evaluate(3, 8, 2, 7) == 7
 
-    def test_rejects_decreasing_ceiling(self):
-        bad = MonotoneSchedule(ceiling=lambda i, x, y: max(0, 10 - y))
+    def test_rejects_negative_ceiling_past_probes(self):
+        # every member lies past 2**8, beyond any sampled probe: the
+        # constructor checks the ceiling itself
+        with pytest.raises(FixtureError, match="^family entry 0 has a negative ceiling -3$"):
+            MonotoneFamily([SetSpec.powers(min_exponent=13)], [-3])
+
+    def test_needs_one_ceiling_per_set(self):
         with pytest.raises(FixtureError):
-            monotone_from_sets([ODD], bad)
+            MonotoneFamily([ODD, ODD], [2])
+        with pytest.raises(FixtureError):
+            MonotoneFamily([ODD], [2, 2])
 
     def test_settling_oracle(self):
-        schedule = MonotoneSchedule(ceiling=lambda i, x, y: 2, ramp_lag=6)
-        family = monotone_from_sets([ODD], schedule)
+        family = MonotoneFamily([ODD], [2], ramp_lag=6)
         stage = family.member_constant_stage(0, 8, 3)
         limit = family.member_limit(0, 8, 3)
         assert all(family.evaluate(0, 8, 3, stage + d) == limit for d in range(6))
@@ -268,12 +269,6 @@ points = st.one_of(
     st.builds(lambda c, e: c << e, st.integers(min_value=1, max_value=48),
               st.integers(min_value=190, max_value=210)),
 )
-ceilings = st.sampled_from([
-    None,
-    lambda i, x, y: 2,
-    lambda i, x, y: (i + y) // 2,
-    lambda i, x, y: y * y + x % 5,
-])
 
 
 @given(set_specs, points)
@@ -285,10 +280,12 @@ def test_contains_matches_definition(spec, x):
 @given(st.lists(set_specs, max_size=3), st.integers(min_value=-2, max_value=4), points,
        st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=40),
        st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3),
-       ceilings, st.integers(min_value=0, max_value=8))
+       st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=8))
 @settings(max_examples=300, deadline=None)
-def test_evaluate_matches_schedules(specs, i, x, k, s, base, per_k, ceiling, ramp_lag):
-    # evaluate inlines delay(k), ramp and ceiling_value; the reference calls them
+def test_evaluate_matches_schedules(specs, i, x, k, s, base, per_k, ceilings, ramp_lag):
+    # evaluate inlines delay(k), which the reference calls; the count's
+    # reference is min(ceiling, ramp) on members, the ramp elsewhere
     inside = 0 <= i < len(specs)
     member = inside and plain_contains(specs[i], x)
     delta3 = Delta3Family(specs, [DelaySchedule(base + j, per_k) for j in range(len(specs))])
@@ -296,11 +293,10 @@ def test_evaluate_matches_schedules(specs, i, x, k, s, base, per_k, ceiling, ram
     if inside:
         staged = int(member) if s >= delta3.delay[i](k) else 1 - int(member)
     assert delta3.evaluate(i, x, k, s) == staged
-    schedule = MonotoneSchedule(ceiling=ceiling, ramp_lag=ramp_lag)
-    monotone = MonotoneFamily(specs, schedule)
+    monotone = MonotoneFamily(specs, ceilings[:len(specs)], ramp_lag)
     y = k  # the counting argument reuses the draw of k
-    ramp = schedule.ramp(s)
-    count = min(schedule.ceiling_value(i, x, y), ramp) if member else ramp
+    ramp = max(0, s - ramp_lag)
+    count = min(ceilings[i], ramp) if member else ramp
     assert monotone.evaluate(i, x, y, s) == count
 
 
@@ -377,7 +373,7 @@ def broken_monotone():
         def evaluate(self, i, x, y, s):
             return s % 2
 
-    return Broken(base.sets, base.schedule)
+    return Broken(base.sets, base.ceilings, base.ramp_lag)
 
 
 def lying_delta3():
@@ -483,10 +479,14 @@ class TestSampleGrid:
 def test_delta3_family_needs_one_delay_per_set():
     with pytest.raises(FixtureError):
         Delta3Family(sets=[ODD, ODD], delay=[DelaySchedule(base=5)])
-    family = delayed_delta3([ODD, ODD], DelaySchedule(base=5))
-    assert family.delay == (DelaySchedule(base=5),) * 2
 
 
-def test_monotone_from_sets_isinstance():
-    family = monotone_from_sets([ODD])
-    assert isinstance(family, MonotoneFamily)
+@pytest.mark.parametrize("index", [-1, 7])
+def test_weak_apart_on_outside_catalog(index):
+    # an index outside the catalog reads as the empty set, vacuously weakly
+    # apart, as in truth and members_upto_bit; the last set (4 and 5 share
+    # a top bit) is not, so -1 reading it would show
+    sets = [ODD, SetSpec.explicit([4, 5])]
+    for family in (Delta3Family(sets), MonotoneFamily(sets)):
+        assert family.weak_apart_on(1, 24) == (False, (4, 5))
+        assert family.weak_apart_on(index, 24) == (True, None)

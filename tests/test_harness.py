@@ -801,6 +801,33 @@ def test_verify_reads_mode_branch_and_contract(kind, field, value, named, tmp_pa
     assert lines[0].startswith("verification failed: field %s " % named), lines[0]
 
 
+def _swap_u_and_v(payload):
+    for a, b in (("u", "v"), ("color_u", "color_v")):
+        payload[a], payload[b] = payload[b], payload[a]
+    certificates = payload["certificates"]
+    certificates["u"], certificates["v"] = certificates["v"], certificates["u"]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda payload: payload.update(witness=harness.run_product_kill(
+        harness.default_config("delta3"), 1)["witness"]),
+     "the embedded witness is not of fixture 0"),
+    (lambda payload: payload.update(witness=harness.run_pi3(harness.default_config("pi3"), 0)),
+     "the embedded witness is not a delta3-witness of the kill's config"),
+    (_swap_u_and_v, "the embedded witness's certificates are not the kill's u and v"),
+], ids=["fixture-1-witness", "pi3-witness", "swapped-u-v"])
+def test_verify_ties_embedded_witness_to_kill(tamper, message, tmp_path, capsys):
+    # the delta3 product kill of fixture 0 with its embedded witness replaced
+    # by another valid witness, or its u and v swapped: the kill and the
+    # witness each verify on their own, so only their tie refuses them
+    payload = json.loads(_sweep_report("product-kill"))
+    tamper(payload)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    assert capsys.readouterr() == ("verification failed: %s\nVERIFICATION FAILED\n" % message, "")
+
+
 def test_tree_check_guard_refuses_before_building(tmp_path, capsys):
     # the tree exponent guard is checked before any tree is built, by the
     # command and by verify of a report that asks for exponent 99
@@ -864,9 +891,8 @@ def test_verify_eval_table_with_oversized_end(tmp_path):
 
 
 def test_pi3_config_rejects_negative_ceiling(tmp_path, capsys):
-    # min_exponent 13 puts every member past monotone_from_sets' probes and
-    # validate_family's samples; the ceiling is a constant, so build_family
-    # checks it exactly
+    # min_exponent 13 puts every member past validate_family's samples;
+    # MonotoneFamily checks the ceiling itself, exactly
     config = tmp_path / "negative.json"
     config.write_text(json.dumps({"catalog": "pi3", "families": [{
         "index": "0", "kind": "monotone", "ceiling": "-3",

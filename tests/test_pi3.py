@@ -5,7 +5,7 @@ import pytest
 from fscoloring import pi3
 from fscoloring.dyadic import apart, block, low_bit, top_bit
 from fscoloring.errors import GuardError, VerificationError, WitnessSearchError
-from fscoloring.families import MonotoneSchedule, SetSpec, monotone_catalog, monotone_from_sets
+from fscoloring.families import MonotoneFamily, SetSpec, monotone_catalog
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
 
@@ -17,7 +17,7 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def single():
-    return monotone_from_sets([ODD])
+    return MonotoneFamily([ODD])
 
 
 class TestGuesses:
@@ -195,7 +195,7 @@ class TestDistinctRequests:
         assert spread.sums == (sum(spread.chain.elements), sum(spread.chain.elements[1:]))
 
     def test_exponent_two_exhausts_block(self):
-        evens = monotone_from_sets([SetSpec.powers(modulus=2, residue=0, min_exponent=2)])
+        evens = MonotoneFamily([SetSpec.powers(modulus=2, residue=0, min_exponent=2)])
         engine = pi3.Pi3Engine(evens)
         assert engine.stable_index(2) == 0
         spread = pi3.distinct_requests(engine, 0, 2)
@@ -239,6 +239,13 @@ class TestFindWitness:
         with pytest.raises(WitnessSearchError):
             pi3.find_witness(catalog, 2)
 
+    @pytest.mark.parametrize("index", [-1, 7])
+    def test_index_outside_catalog_claims_no_exponent(self, catalog, index):
+        # read as the empty set, which no exponent is ever assigned to
+        with pytest.raises(WitnessSearchError) as failure:
+            pi3.find_witness(catalog, index)
+        assert failure.value.quantifier == "stable block exponent"
+
     def test_guard_exhaustion(self, catalog):
         with pytest.raises(WitnessSearchError) as failure:
             pi3.find_witness(catalog, 1, max_request_exponent=1)
@@ -258,7 +265,7 @@ class TestFindWitness:
 
 
 def test_deep_block_exponent_three():
-    deep = monotone_from_sets([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
+    deep = MonotoneFamily([SetSpec.powers(modulus=2, residue=1, min_exponent=3)])
     engine = pi3.Pi3Engine(deep)
     assert engine.stable_index(3) == 0
     spread = pi3.distinct_requests(engine, 0, 3)
@@ -300,9 +307,8 @@ PRIORITY_FAMILIES = {
     "delayed": lambda: monotone_catalog("delayed"),
     # one family whose first member sits at exponent 13: every exponent
     # below it scans indices outside the catalog
-    "deep": lambda: monotone_from_sets(
-        [SetSpec.powers(modulus=2, residue=1, min_exponent=13)],
-        MonotoneSchedule(ceiling=lambda i, x, y: 1, ramp_lag=2)),
+    "deep": lambda: MonotoneFamily(
+        [SetSpec.powers(modulus=2, residue=1, min_exponent=13)], [1], ramp_lag=2),
 }
 
 
