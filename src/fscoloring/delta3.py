@@ -81,7 +81,8 @@ def request(family: Delta3Family, n: int, w: int) -> int:
 
 def coloring(family: Delta3Family):
     """The two-coloring induced by the family's request function, total on
-    positives (see treecolor.TreeColoring)."""
+    positives (see treecolor.TreeColoring); it keeps one factored request,
+    and so its base-increment tables, for its life."""
     name = family.description or "family"
     tri = TriRequestFunction(lambda n, k, s: request_at_stages(family, n, k, s),
                              description="staged-membership request (%s)" % name)

@@ -446,7 +446,14 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
                       *, contract: bool = True, guards: Guards = Guards(),
                       out: Optional[str] = None) -> dict:
     """Validate tree structure (and optionally the increment contract) for
-    seeded random request functions on every block up to max_exponent."""
+    seeded random request functions on every block up to max_exponent.
+    Inputs that would check nothing are refused before any tree is built."""
+    if max_exponent < 1:
+        raise ValueError("max_exponent must be at least 1, got %r" % (max_exponent,))
+    if functions < 1:
+        raise ValueError("functions must be at least 1, got %r" % (functions,))
+    if contract and not moduli:
+        raise ValueError("moduli must name at least one modulus when the contract is checked")
     if max_exponent > guards.tree_exponent:
         raise GuardError("tree_exponent", guards.tree_exponent, max_exponent)
     results = []

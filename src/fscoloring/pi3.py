@@ -12,12 +12,15 @@ makes the suffix sums realize every base count, so some finite sum of the
 fixture is requested exactly at its own block member; the induced
 two-coloring then separates two finite sums of the fixture.
 
-Each run builds one Pi3Engine, which holds the construction's only
-memos: the staged index table and the stable indices.  Recomputation
-yields identical values, so the memos are observationally pure.  One
-priority recurrence (_priority) fills both, read at finite stages
-through block minima (mins of the family's evaluate) and in the limit
-through block members; check_stage_settling compares the two readings.
+Each run builds one Pi3Engine, which holds the construction's memos:
+the staged index table, the stable indices, and one lifted guess request
+per exponent n, whose factored core keeps its base-increment tables
+(treecolor.TriRequestFunction).  Recomputation yields identical values,
+so the memos are observationally pure; they live as long as the engine,
+and every verify builds a fresh one.  One priority recurrence
+(_priority) fills the first two, read at finite stages through block
+minima (mins of the family's evaluate) and in the limit through block
+members; check_stage_settling compares the two readings.
 """
 
 from __future__ import annotations
@@ -59,8 +62,11 @@ def _priority(memo, key, n, claims) -> Optional[int]:
 class Pi3Engine:
     """One run's request synthesizer over a monotone family.
 
-    Holds the staged priority table, keyed (n, y, k, s), and the stable
-    (limit) index of each exponent.  Requests are served at every exponent
+    Holds the staged priority table, keyed (n, y, k, s), the stable
+    (limit) index of each exponent, and the lifted guess request of each
+    exponent n (guesses), built on the first base_count(n, .) and kept
+    with its base-increment tables (at most s*(s+1)/2 entries per block
+    exponent s).  Requests are served at every exponent
     up to chain_bits, not only at the witness's block exponent: full
     colorings query requests at every level below the vertex's top bit,
     and the modulus 2**n stays cheap because guesses read block minima
@@ -73,6 +79,7 @@ class Pi3Engine:
         self.chain_bits = chain_bits
         self.table = {}
         self.stable = {}
+        self.guesses = {}
 
     def stage_index(self, n, y, k, s) -> Optional[int]:
         """Priority index over the domain 0 < n < y <= k <= s: the
@@ -111,9 +118,11 @@ class Pi3Engine:
 
     def base_count(self, n, w) -> int:
         """Coloring of w in Z_{2**n} under the n-th guess request."""
-        tri = TriRequestFunction(lambda y, k, s: self.q(n, y, k, s),
-                                 description="guess request at exponent %d" % n)
-        return color_mod(lift_tri(tri), w, 1 << n)
+        guess = self.guesses.get(n)
+        if guess is None:
+            guess = self.guesses[n] = lift_tri(TriRequestFunction(
+                lambda y, k, s: self.q(n, y, k, s), description="guess request at exponent %d" % n))
+        return color_mod(guess, w, 1 << n)
 
     def request(self, n, w) -> int:
         if n >= low_bit(w):

@@ -11,8 +11,11 @@ signed_counts evaluates colorings without materializing trees, one block
 at a time, with at most one request evaluation per bridge: 2**s - 1 for a
 whole block at exponent s.  For requests factored through (level, low
 bit, top bit) -- the class the limit constructions produce -- a table of
-base-increment potentials per block needs at most s*(s+1)/2, which keeps
-exponents near 60 feasible.  Arbitrary requests fall back to a
+base-increment potentials per block exponent needs at most s*(s+1)/2,
+which keeps exponents near 60 feasible.  The factored request
+(TriRequestFunction, whose fn must be deterministic) keeps its tables for
+as long as it lives, so each is built once however many calls, vertices
+or batches read it.  Arbitrary requests fall back to a
 target-splitting recursion whose cost grows with the digit weight of the
 bridge endpoints it meets; it is exact at any size but intended for small
 exponents.  color_mod_bfs materializes the whole tree and is the
@@ -66,11 +69,18 @@ class RequestFunction:
 
 
 class TriRequestFunction:
-    """Request map factored through three coordinates: (n, k, s) -> B^n."""
+    """Request map factored through three coordinates: (n, k, s) -> B^n.
+
+    fn must be deterministic: the factored evaluator keeps the
+    base-increment tables it derives from fn in tables, a dict from block
+    exponent s to {(low, level): delta}, for as long as this object lives.
+    Each table holds at most s*(s+1)/2 entries, one fn evaluation each.
+    """
 
     def __init__(self, fn: Callable[[int, int, int], int], description: str = "tri request"):
         self._fn = fn
         self.description = description
+        self.tables: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     def __call__(self, n: int, k: int, s: int) -> int:
         value = self._fn(n, k, s)
@@ -246,9 +256,10 @@ def signed_counts(request: RequestFunction, ws) -> dict:
 
     Every edge is oriented from w' to w' + R(n', w'); traversals along the
     orientation count +1 and against it -1.  Each block is evaluated once
-    for all of its vertices in ws: through one base-potential table for
-    requests carrying a factored core (see lift_tri), through one span
-    recursion for anything else.
+    for all of its vertices in ws: for requests carrying a factored core
+    (see lift_tri), through the core's base-potential table at the block's
+    exponent, which earlier calls may have filled and this call extends;
+    through one span recursion for anything else.
     """
     blocks: Dict[int, set] = {}
     for w in ws:
@@ -276,10 +287,11 @@ def _factored_counts(tri, s: int, targets) -> dict:
     #               = 1 - sum(delta(l', b) over offset bits b),
     # which depends on the base only through its low bit when the request
     # is factored.  The table has at most s*(s+1)/2 entries, one request
-    # evaluation each, and Phi(w) telescopes over w's own set bits.
+    # evaluation each, and Phi(w) telescopes over w's own set bits.  It
+    # lives on tri, so later calls at the same s reuse it.
     if s > FACTORED_MAX_EXPONENT:
         raise GuardError("factored_exponent", FACTORED_MAX_EXPONENT, s)
-    table: Dict[Tuple[int, int], int] = {}
+    table = tri.tables.setdefault(s, {})
 
     def delta(low, level):
         key = (low, level)

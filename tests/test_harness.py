@@ -849,6 +849,44 @@ def test_tree_check_guard_refuses_before_building(tmp_path, capsys):
     ]
 
 
+VACUOUS_TREE_CHECKS = [
+    (["--max-exponent", "3", "--functions", "-5"], "functions must be at least 1, got -5"),
+    (["--max-exponent", "0"], "max_exponent must be at least 1, got 0"),
+    (["--moduli", ""], "moduli must name at least one modulus when the contract is checked"),
+]
+
+
+@pytest.mark.parametrize("argv, message", VACUOUS_TREE_CHECKS,
+                         ids=["negative-functions", "zero-exponent", "no-moduli"])
+def test_tree_check_refuses_vacuous_inputs(argv, message, capsys):
+    # each of these checked nothing, yet printed "tree check OK" and exited 0
+    assert cli.main(["tree", "check"] + argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_tree_check_without_contract_needs_no_moduli(capsys):
+    assert cli.main(["tree", "check", "--max-exponent", "2", "--functions", "1",
+                     "--moduli", "", "--no-contract"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "tree check OK"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("functions", "0", "functions must be at least 1, got 0"),
+    ("max_exponent", "0", "max_exponent must be at least 1, got 0"),
+    ("moduli", [], "moduli must name at least one modulus when the contract is checked"),
+])
+def test_verify_refuses_vacuous_tree_check(field, value, message, tmp_path, capsys):
+    # a tree-check report edited to check nothing; the functions and moduli
+    # edits used to verify
+    payload = json.loads(_sweep_report("tree-check"))
+    payload[field] = value
+    report = tmp_path / "tree.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    assert capsys.readouterr() == (
+        "verification failed: %s\nVERIFICATION FAILED\n" % message, "")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("x", 5, "field x is not a decimal string: 5"),
     ("x", "0x2", "field x is not a decimal string: '0x2'"),
@@ -926,7 +964,7 @@ def test_pi3_witness_evaluates_only_in_block_min(capsys):
             mock.patch.object(MonotoneFamily, "block_min", counted_block_min):
         assert cli.main(["pi3", "witness", "--config", config, "--index", "0"]) == 0
     assert capsys.readouterr().err == ""
-    assert calls == {"block_min": 50, "outside": 0}
+    assert calls == {"block_min": 32, "outside": 0}
 
 
 def test_delta3_witness_never_evaluates(capsys):

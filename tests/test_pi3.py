@@ -1,11 +1,14 @@
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from fscoloring import pi3
+from fscoloring import harness, pi3
 from fscoloring.dyadic import apart, block, low_bit, top_bit
 from fscoloring.errors import GuardError, VerificationError, WitnessSearchError
 from fscoloring.families import MonotoneFamily, SetSpec, monotone_catalog
+from fscoloring.treecolor import TriRequestFunction
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
 
@@ -142,6 +145,33 @@ class TestRequest:
         color = pi3.coloring(single)
         assert pi3.request(single, 1, 32) == 2
         assert color(32) != color(34)
+
+    def test_guess_tables_built_once_per_coloring(self):
+        # one coloring keeps one lifted guess request per exponent, and each
+        # keeps its base-increment tables: colored again, the same vertices
+        # make no tri request call, and every color matches a fresh engine's
+        config = Path(__file__).resolve().parent.parent / "configs" / "pi3-instant.json"
+        family = harness.build_family(harness.load_config(str(config)))
+        rng = random.Random(60)
+        ws = [(1 << 60) | rng.getrandbits(60) for _ in range(8)]
+        engine = pi3.Pi3Engine(family)
+        color = engine.coloring()
+        calls = []
+        tri_call = TriRequestFunction.__call__
+
+        def counted(tri, *args):
+            calls.append(args)
+            return tri_call(tri, *args)
+        with mock.patch.object(TriRequestFunction, "__call__", counted):
+            colors = [color(w) for w in ws]
+            first = len(calls)
+            assert [color(w) for w in ws] == colors
+        assert first > 0 and len(calls) == first
+        assert colors == [pi3.coloring(family)(w) for w in ws]
+        assert engine.guesses
+        for guess in engine.guesses.values():
+            for s, table in guess.tri.tables.items():
+                assert len(table) <= s * (s + 1) // 2
 
 
 class TestStableIndex:

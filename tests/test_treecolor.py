@@ -236,6 +236,42 @@ def test_full_block_requests_each_bridge_once():
     assert len(tri_calls) <= s * (s + 1) // 2
 
 
+@given(st.integers(min_value=0, max_value=1000),
+       st.lists(st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=0)),
+                min_size=1, max_size=6),
+       st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_shared_tables_match_fresh_requests_and_bfs(seed, picks, modulus, rng):
+    # a lifted tri request keeps its tables across calls; in any order, one
+    # vertex at a time or batched, it colors as a fresh request per vertex
+    # and as the materialized tree does
+    ws = [(1 << s) | (offset % (1 << s)) for s, offset in picks]
+    expected = {w: color_mod_bfs(lift_tri(random_tri_request(seed)), w, modulus) for w in ws}
+    assert {w: color_mod(lift_tri(random_tri_request(seed)), w, modulus) for w in ws} == expected
+    for passes in (("single", "batched"), ("batched", "single")):
+        shared = lift_tri(random_tri_request(seed))
+        coloring = TreeColoring(shared, modulus)
+        for how in passes:
+            order = list(ws)
+            rng.shuffle(order)
+            colors = coloring.table(order) if how == "batched" else [coloring(w) for w in order]
+            assert colors == [expected[w] for w in order]
+        for s, table in shared.tri.tables.items():
+            assert len(table) <= s * (s + 1) // 2
+
+
+def test_tables_live_on_the_tri_request():
+    # a second pass over a block reads the tables the first pass filled
+    tri, calls = counted(random_tri_request(4))
+    lifted = lift_tri(tri)
+    block = range(1 << 9, 1 << 10)
+    first = signed_counts(lifted, block)
+    assert len(calls) == len(tri.tables[9]) <= 9 * 10 // 2
+    assert signed_counts(lifted, reversed(block)) == first
+    assert [signed_count(lifted, w) for w in block] == [first[w] for w in block]
+    assert len(calls) == len(tri.tables[9]) and set(tri.tables) == {9}
+
+
 def test_generic_exponent_limit():
     deepest = default_request()
     s = treecolor.GENERIC_MAX_EXPONENT
