@@ -7,25 +7,28 @@ n below its lowest bit.  That graph is always a tree, so counting signed
 edge crossings along the unique path from the block root 2**s yields a
 coloring c with c(w + R(n, w)) == c(w) + 1 (mod r) for every request.
 
-signed_counts evaluates colorings without materializing trees, one block
-at a time, with at most one request evaluation per bridge: 2**s - 1 for a
-whole block at exponent s.  For requests factored through (level, low
-bit, top bit) -- the class the limit constructions produce -- a table of
-base-increment potentials per block exponent needs at most s*(s+1)/2,
-which keeps exponents near 60 feasible.  The factored request
-(TriRequestFunction, whose fn must be deterministic) keeps its tables for
-as long as it lives, so each is built once however many calls, vertices
-or batches read it.  Arbitrary requests fall back to a
-target-splitting recursion whose cost grows with the digit weight of the
-bridge endpoints it meets; it is exact at any size but intended for small
-exponents.  color_mod_bfs materializes the whole tree and is the
+signed_counts evaluates colorings without materializing trees by
+telescoping: the count of w is a sum of potential increments, one per set
+bit of w, each derived from one bridge.  Every request keeps the
+increments it has derived for as long as it lives, so however many calls,
+vertices or batches read a block, each bridge is requested at most once:
+2**s - 1 evaluations for a whole block at exponent s.  For requests
+factored through (level, low bit, top bit) -- the class the limit
+constructions produce -- the increments depend on a base only through its
+low bit, so a block needs at most s*(s+1)/2 evaluations, which keeps
+exponents near 60 feasible; the factored core (TriRequestFunction) keeps
+one table per block exponent.  Arbitrary requests (RequestFunction) key
+their table by vertex prefix, one entry per bridge reached; that is exact
+at any size, but its cost and memory grow with the bridges a vertex's path
+meets, so it is intended for small exponents.  Both kinds of fn must be
+deterministic.  color_mod_bfs materializes the whole tree and is the
 reference oracle both evaluators are validated against.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .dyadic import low_bit, top_bit
@@ -52,11 +55,17 @@ class RequestFunction:
     evaluation; a request value outside its block would silently break the
     tree structure, so it is rejected immediately.  tri, when set, is the
     factored core the request lifts (see lift_tri).
+
+    fn must be deterministic: the generic evaluator keeps the potential
+    increments it derives from fn in tables, a dict from head (a vertex
+    prefix, one per bridge) to delta, for as long as this object lives.
+    Each entry costs about 120 bytes.
     """
 
     fn: Callable[[int, int], int]
     description: str = "request"
     tri: Optional[TriRequestFunction] = None
+    tables: Dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, n: int, w: int) -> int:
         value = self.fn(n, w)
@@ -97,8 +106,8 @@ def lift_tri(tri: TriRequestFunction) -> RequestFunction:
     tri(n, low_bit(w), top_bit(w)).
 
     The lifted function carries its factored core, which lets the
-    coloring evaluators use the quadratic base-potential scheme instead of
-    the generic recursion.
+    coloring evaluators use the quadratic base-potential table instead of
+    the generic one, which holds an entry per bridge.
     """
     return RequestFunction(lambda n, w: tri(n, low_bit(w), top_bit(w)),
                            "lifted %s" % tri.description, tri)
@@ -167,9 +176,15 @@ def random_request(seed: int) -> RequestFunction:
     deterministic and reproducible from the seed alone.
     """
     seeded = _mix(seed)
+    levels: Dict[int, int] = {}
 
     def fn(n, w):
-        return (1 << n) + (_absorb(_absorb(seeded, n), w) % (1 << n))
+        # (seed, n) is absorbed once per level; get/set keeps a concurrent
+        # fill correct, since every writer stores the same value
+        state = levels.get(n)
+        if state is None:
+            state = levels[n] = _absorb(seeded, n)
+        return (1 << n) + (_absorb(state, w) % (1 << n))
 
     return RequestFunction(fn, description="random(seed=%d)" % seed)
 
@@ -256,10 +271,11 @@ def signed_counts(request: RequestFunction, ws) -> dict:
 
     Every edge is oriented from w' to w' + R(n', w'); traversals along the
     orientation count +1 and against it -1.  Each block is evaluated once
-    for all of its vertices in ws: for requests carrying a factored core
-    (see lift_tri), through the core's base-potential table at the block's
-    exponent, which earlier calls may have filled and this call extends;
-    through one span recursion for anything else.
+    for all of its vertices in ws, through a table of potential increments
+    that earlier calls may have filled and this call extends: for requests
+    carrying a factored core (see lift_tri), the core's base-potential
+    table at the block's exponent; for anything else, the request's own
+    table of vertex prefixes.
     """
     blocks: Dict[int, set] = {}
     for w in ws:
@@ -320,33 +336,43 @@ def _factored_counts(tri, s: int, targets) -> dict:
 
 
 def _generic_counts(request, s: int, targets) -> dict:
+    # The telescoping of _factored_counts without the factoring.  A vertex
+    # v with bit j set has the head v >> j << j, which names the bridge at
+    # base head - 2**j and level j, and
+    #   delta(head) = Phi(head) - Phi(head - 2**j)
+    #               = 1 - sum(delta over the bridge endpoint's heads below j).
+    # A head is a whole prefix (its low bit is its level), so the table has
+    # one entry per bridge, at most 2**s - 1 per block, one request
+    # evaluation each.  It lives on the request, so later calls reuse it.
     if s > GENERIC_MAX_EXPONENT:
         raise GuardError("generic_exponent", GENERIC_MAX_EXPONENT, s)
+    table = request.tables
 
-    def potentials(base, level, targets):
-        # Signed counts from `base` to each target inside the aligned
-        # span [base, base + 2**(level+1)); base has all bits below
-        # level+1 clear, so it is the span's own tree anchor.  Each span
-        # is visited at most once, so each bridge is requested at most once.
-        out = {t: 0 for t in targets if t == base}
-        pending = [t for t in targets if t != base]
-        if not pending:
-            return out
-        assert level >= 0, "targets escaped their span"
+    def delta(head, level):
+        cached = table.get(head)
+        if cached is not None:
+            return cached
         half = 1 << level
-        lows = [t for t in pending if t < base + half]
-        highs = [t for t in pending if t >= base + half]
-        if lows:
-            out.update(potentials(base, level - 1, lows))
-        if highs:
-            high_entry = base + request(level, base)
-            sub = potentials(base + half, level - 1, set(highs) | {high_entry})
-            shift = 1 - sub[high_entry]
-            for t in highs:
-                out[t] = sub[t] + shift
-        return out
+        offset = request(level, head - half) - half
+        key, value = head, 1
+        while offset:
+            b = offset.bit_length() - 1
+            offset -= 1 << b
+            key += 1 << b
+            value -= delta(key, b)
+        table[head] = value
+        return value
 
-    return potentials(1 << s, s - 1, targets)
+    counts = {}
+    for w in targets:
+        total, key, rest = 0, 1 << s, w - (1 << s)
+        while rest:
+            j = rest.bit_length() - 1
+            rest -= 1 << j
+            key += 1 << j
+            total += delta(key, j)
+        counts[w] = total
+    return counts
 
 
 def color_mod(request: RequestFunction, w: int, modulus: int) -> int:

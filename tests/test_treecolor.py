@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,20 +222,42 @@ def test_signed_counts_rejects_small_vertices():
             signed_counts(random_request(1), ws)
 
 
-def test_full_block_requests_each_bridge_once():
-    # a block at exponent s has 2**s - 1 bridges; vertex by vertex the
-    # generic recursion requests them 22,992 times at s = 10
-    s = 10
-    request, calls = random_request(3), []
+def counted_request(request):
+    """request behind a fresh RequestFunction, with the list of its evaluations."""
+    calls = []
 
     def counting(n, w):
         calls.append((n, w))
         return request(n, w)
-    signed_counts(RequestFunction(counting), range(1 << s, 1 << (s + 1)))
+    return RequestFunction(counting), calls
+
+
+def test_full_block_requests_each_bridge_once():
+    # a block at exponent s has 2**s - 1 bridges, each requested at most
+    # once, batched or vertex by vertex on one request (a span recursion
+    # that kept nothing between calls requested them 22,992 times at s = 10)
+    s = 10
+    block = range(1 << s, 1 << (s + 1))
+    batched, calls = counted_request(random_request(3))
+    counts = signed_counts(batched, block)
     assert len(calls) <= (1 << s) - 1
+    single, calls = counted_request(random_request(3))
+    first = [signed_count(single, w) for w in block]
+    assert len(calls) <= (1 << s) - 1
+    assert len(single.tables) == len(calls)
+    assert [signed_count(single, w) for w in block] == first
+    assert len(single.tables) == len(calls)
+    assert first == [counts[w] for w in block]
     tri, tri_calls = counted(random_tri_request(3))
-    signed_counts(lift_tri(tri), range(1 << s, 1 << (s + 1)))
+    signed_counts(lift_tri(tri), block)
     assert len(tri_calls) <= s * (s + 1) // 2
+
+
+def test_generic_work_at_top_bit_48():
+    # one vertex far out: the table reaches only the bridges on its path
+    request, calls = counted_request(random_request(0))
+    assert signed_count(request, (1 << 48) + 12345678901) == 21
+    assert len(calls) == len(request.tables) == 37727
 
 
 @given(st.integers(min_value=0, max_value=1000),
@@ -258,6 +282,30 @@ def test_shared_tables_match_fresh_requests_and_bfs(seed, picks, modulus, rng):
             assert colors == [expected[w] for w in order]
         for s, table in shared.tri.tables.items():
             assert len(table) <= s * (s + 1) // 2
+
+
+@given(st.sampled_from(["random", "default"]), st.integers(min_value=0, max_value=1000),
+       st.lists(st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=0)),
+                min_size=1, max_size=6),
+       st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_shared_generic_tables_match_fresh_requests_and_bfs(kind, seed, picks, modulus, rng):
+    # an arbitrary request keeps its table across calls; in any order, one
+    # vertex at a time or batched, it colors as a fresh request per vertex
+    # and as the materialized tree does
+    make = (lambda: random_request(seed)) if kind == "random" else default_request
+    ws = [(1 << s) | (offset % (1 << s)) for s, offset in picks]
+    expected = {w: color_mod_bfs(make(), w, modulus) for w in ws}
+    assert {w: color_mod(make(), w, modulus) for w in ws} == expected
+    for passes in (("single", "batched"), ("batched", "single")):
+        shared = make()
+        coloring = TreeColoring(shared, modulus)
+        for how in passes:
+            order = list(ws)
+            rng.shuffle(order)
+            colors = coloring.table(order) if how == "batched" else [coloring(w) for w in order]
+            assert colors == [expected[w] for w in order]
+        assert len(shared.tables) <= sum((1 << top_bit(w)) - 1 for w in set(ws))
 
 
 def test_tables_live_on_the_tri_request():
@@ -298,10 +346,15 @@ def test_tree_coloring_table():
 
 @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 + 3])
 def test_seeded_requests_follow_mix(seed):
-    # the seed is absorbed once per request function; values equal the
-    # one-shot hash of (seed, coordinates)
+    # the seed is absorbed once per request function and (seed, n) once per
+    # level; on one request, levels visited in any order and revisited,
+    # values equal the one-shot hash of (seed, coordinates)
     request, tri = random_request(seed), random_tri_request(seed)
-    for n, w in [(0, 2), (3, 16), (5, 1 << 70), (64, 1 << 130)]:
+    points = [(0, 2), (3, 16), (5, 1 << 70), (64, 1 << 130), (70, 1 << 200),
+              (3, (1 << 128) + 8), (64, 3 << 128), (5, 1 << 6)]
+    points += points[::2]
+    random.Random(seed).shuffle(points)
+    for n, w in points:
         assert request(n, w) == (1 << n) + treecolor._mix(seed, n, w) % (1 << n)
         assert tri(n, w, w + 1) == (1 << n) + treecolor._mix(seed, n, w, w + 1) % (1 << n)
 
