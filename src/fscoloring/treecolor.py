@@ -19,9 +19,11 @@ low bit, so a block needs at most s*(s+1)/2 evaluations, which keeps
 exponents near 60 feasible; the factored core (TriRequestFunction) keeps
 one table per block exponent.  Arbitrary requests (RequestFunction) key
 their table by vertex prefix, one entry per bridge reached; that is exact
-at any size, but its cost and memory grow with the bridges a vertex's path
-meets, so it is intended for small exponents.  Both kinds of fn must be
-deterministic.  color_mod_bfs materializes the whole tree and is the
+at any size, but its cost grows with the bridges a vertex's path meets, so
+it is intended for small exponents.  The table holds at most
+GENERIC_MAX_ENTRIES entries; a block that needs more is finished by a span
+recursion that reads the table and keeps nothing, in memory linear in s.
+Both kinds of fn must be deterministic.  color_mod_bfs materializes the whole tree and is the
 reference oracle both evaluators are validated against.
 """
 
@@ -38,6 +40,11 @@ from .errors import GuardError, Guards
 #: recursions nest one call per bit level, so deeper blocks would exhaust
 #: the interpreter's stack.
 FACTORED_MAX_EXPONENT = GENERIC_MAX_EXPONENT = 512
+
+#: Most entries one request's generic table holds, about 60 MB.  It bounds
+#: the memory of any single coloring of an arbitrary request, however far
+#: out its vertices lie; the work past it is not bounded.
+GENERIC_MAX_ENTRIES = 1 << 19
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,13 +66,16 @@ class RequestFunction:
     fn must be deterministic: the generic evaluator keeps the potential
     increments it derives from fn in tables, a dict from head (a vertex
     prefix, one per bridge) to delta, for as long as this object lives.
-    Each entry costs about 120 bytes.
+    Each entry costs about 120 bytes, and the table stops growing at
+    GENERIC_MAX_ENTRIES.  tables is not a constructor argument: every
+    request, dataclasses.replace copies included, starts with its own
+    empty table.
     """
 
     fn: Callable[[int, int], int]
     description: str = "request"
     tri: Optional[TriRequestFunction] = None
-    tables: Dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    tables: Dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, n: int, w: int) -> int:
         value = self.fn(n, w)
@@ -116,9 +126,11 @@ def lift_tri(tri: TriRequestFunction) -> RequestFunction:
 def extend_request(partial=None, description: str = "extended request") -> RequestFunction:
     """Extend a partial request map totally, defaulting to the block maximum.
 
-    partial may be a dict keyed by (n, w) or a callable returning None
-    where undefined.  Dict values are validated eagerly; a value outside
-    its block is rejected.
+    partial may be a dict keyed by (n, w) or a deterministic callable
+    returning None where undefined.  A dict is copied and its values are
+    validated eagerly; a value outside its block is rejected, and later
+    changes to the caller's dict do not reach the request, whose table
+    keeps what it derived.
     """
     if partial is None:
         partial = {}
@@ -128,7 +140,7 @@ def extend_request(partial=None, description: str = "extended request") -> Reque
                 raise ValueError(
                     "partial request value %r not in block %d" % (value, n)
                 )
-        lookup = partial.get
+        lookup = dict(partial).get
     else:
         lookup = lambda key: partial(*key)  # noqa: E731 - tiny adapter
 
@@ -200,7 +212,12 @@ def random_tri_request(seed: int) -> TriRequestFunction:
 
 
 def MemoRequest(inner: RequestFunction) -> RequestFunction:
-    """inner behind an unbounded memo; observationally pure, as inner is."""
+    """inner behind an unbounded memo; observationally pure, as inner is.
+
+    It saves nothing inside signed_counts, which reads every increment it
+    derived from the request's own table; only direct request(n, w) calls
+    hit the memo.
+    """
     return RequestFunction(functools.lru_cache(maxsize=None)(inner), inner.description)
 
 
@@ -335,6 +352,10 @@ def _factored_counts(tri, s: int, targets) -> dict:
     return counts
 
 
+class _TableFull(Exception):
+    """A request's generic table holds GENERIC_MAX_ENTRIES entries."""
+
+
 def _generic_counts(request, s: int, targets) -> dict:
     # The telescoping of _factored_counts without the factoring.  A vertex
     # v with bit j set has the head v >> j << j, which names the bridge at
@@ -344,9 +365,11 @@ def _generic_counts(request, s: int, targets) -> dict:
     # A head is a whole prefix (its low bit is its level), so the table has
     # one entry per bridge, at most 2**s - 1 per block, one request
     # evaluation each.  It lives on the request, so later calls reuse it.
+    # A delta the full table cannot take hands the block to _span_counts.
     if s > GENERIC_MAX_EXPONENT:
         raise GuardError("generic_exponent", GENERIC_MAX_EXPONENT, s)
     table = request.tables
+    limit = GENERIC_MAX_ENTRIES
 
     def delta(head, level):
         cached = table.get(head)
@@ -360,19 +383,59 @@ def _generic_counts(request, s: int, targets) -> dict:
             offset -= 1 << b
             key += 1 << b
             value -= delta(key, b)
+        if len(table) >= limit:
+            raise _TableFull
         table[head] = value
         return value
 
     counts = {}
-    for w in targets:
-        total, key, rest = 0, 1 << s, w - (1 << s)
-        while rest:
-            j = rest.bit_length() - 1
-            rest -= 1 << j
-            key += 1 << j
-            total += delta(key, j)
-        counts[w] = total
+    try:
+        for w in targets:
+            total, key, rest = 0, 1 << s, w - (1 << s)
+            while rest:
+                j = rest.bit_length() - 1
+                rest -= 1 << j
+                key += 1 << j
+                total += delta(key, j)
+            counts[w] = total
+    except _TableFull:
+        return _span_counts(request, s, targets)
     return counts
+
+
+def _span_counts(request, s: int, targets) -> dict:
+    # The generic counts in memory linear in s, for blocks whose bridges
+    # overflow the request's table: a target-splitting recursion over
+    # aligned spans.  Each span is visited once, so each bridge is
+    # requested at most once per call, and none whose delta the table holds.
+    table = request.tables
+
+    def potentials(base, level, targets):
+        # Signed counts from base to each target inside the aligned span
+        # [base, base + 2**(level+1)); base has all bits below level+1
+        # clear, so it is the span's own tree anchor.
+        out = {t: 0 for t in targets if t == base}
+        pending = [t for t in targets if t != base]
+        if not pending:
+            return out
+        half = 1 << level
+        lows = [t for t in pending if t < base + half]
+        highs = [t for t in pending if t >= base + half]
+        if lows:
+            out.update(potentials(base, level - 1, lows))
+        if highs:
+            shift = table.get(base + half)
+            if shift is None:
+                high_entry = base + request(level, base)
+                sub = potentials(base + half, level - 1, set(highs) | {high_entry})
+                shift = 1 - sub[high_entry]
+            else:
+                sub = potentials(base + half, level - 1, highs)
+            for t in highs:
+                out[t] = sub[t] + shift
+        return out
+
+    return potentials(1 << s, s - 1, targets)
 
 
 def color_mod(request: RequestFunction, w: int, modulus: int) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -50,10 +51,35 @@ def test_extend_request_examples():
         extend_request({(1, 4): 5})
 
 
+def test_extend_request_copies_its_dict():
+    # the request's table keeps what it derived, so the dict is read once
+    partial = {(1, 4): 2}
+    request = extend_request(partial)
+    before = [signed_count(request, w) for w in range(4, 8)]
+    partial[(1, 4)] = 3
+    partial[(0, 6)] = 1
+    assert request(1, 4) == 2 and request(0, 6) == 1
+    assert [signed_count(request, w) for w in range(4, 8)] == before
+    assert before == [signed_count(extend_request({(1, 4): 2}), w) for w in range(4, 8)]
+
+
 def test_request_function_checks_block():
     bad = RequestFunction(lambda n, w: 5, "bad")
     with pytest.raises(ValueError):
         bad(1, 8)
+
+
+def test_request_tables_are_never_shared():
+    # tables is no constructor argument, and a copy with another fn
+    # starts empty instead of reading increments derived from the first
+    request = random_request(5)
+    signed_count(request, 1000)
+    assert request.tables
+    with pytest.raises(TypeError):
+        RequestFunction(request.fn, tables=request.tables)
+    other = dataclasses.replace(request, fn=default_request().fn)
+    assert other.tables == {}
+    assert signed_count(other, 1000) == signed_count(default_request(), 1000)
 
 
 def test_tree_edges_examples():
@@ -188,32 +214,34 @@ def test_factored_exponent_limit():
     assert failure.value.guard == "factored_exponent"
 
 
+# factories: requests keep tables, so each test and each side of a
+# comparison gets a fresh one
 BATCH_REQUESTS = {
-    "random": random_request(21),
-    "default": default_request(),
-    "lifted tri": lift_tri(random_tri_request(22)),
+    "random": lambda: random_request(21),
+    "default": default_request,
+    "lifted tri": lambda: lift_tri(random_tri_request(22)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_REQUESTS))
 def test_signed_counts_match_bfs_on_full_blocks(name):
-    request = BATCH_REQUESTS[name]
+    make = BATCH_REQUESTS[name]
     for s in range(1, 11):
         block = range(1 << s, 1 << (s + 1))
-        assert signed_counts(request, block) == signed_counts_table(tree_edges(s, request))
+        assert signed_counts(make(), block) == signed_counts_table(tree_edges(s, make()))
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_REQUESTS))
 def test_signed_counts_mixed_blocks_and_duplicates(name):
-    request = BATCH_REQUESTS[name]
+    make = BATCH_REQUESTS[name]
     ws = [700, 5, 40, 5, 1023, 2, 700, 3, 1 << 40, 41, (1 << 40) + 12345]
-    counts = signed_counts(request, ws)
+    counts = signed_counts(make(), ws)
     assert set(counts) == set(ws)
     for w in ws:
-        assert counts[w] == signed_count(request, w)
+        assert counts[w] == signed_count(make(), w)
     for w in (2, 3, 5, 40, 41, 700, 1023):
-        assert counts[w] == signed_counts_table(tree_edges(top_bit(w), request))[w]
-    assert signed_counts(request, []) == {}
+        assert counts[w] == signed_counts_table(tree_edges(top_bit(w), make()))[w]
+    assert signed_counts(make(), []) == {}
 
 
 def test_signed_counts_rejects_small_vertices():
@@ -258,6 +286,33 @@ def test_generic_work_at_top_bit_48():
     request, calls = counted_request(random_request(0))
     assert signed_count(request, (1 << 48) + 12345678901) == 21
     assert len(calls) == len(request.tables) == 37727
+
+
+def test_full_generic_table_falls_back_to_span_recursion(monkeypatch):
+    # past GENERIC_MAX_ENTRIES the table stops growing and a block is
+    # finished by the span recursion, with the same counts; a vertex whose
+    # bridges all sit in the table still costs no evaluation
+    monkeypatch.setattr(treecolor, "GENERIC_MAX_ENTRIES", 40)
+    s = 9
+    block = range(1 << s, 1 << (s + 1))
+    expected = signed_counts_table(tree_edges(s, random_request(8)))
+    batched, calls = counted_request(random_request(8))
+    assert signed_counts(batched, block) == expected
+    # the span recursion skips the table's bridges and repeats at most the
+    # s evaluations the refused telescoping had in flight
+    assert len(batched.tables) == 40 and len(calls) <= (1 << s) - 1 + s
+    single, calls = counted_request(random_request(8))
+    assert [signed_count(single, w) for w in block] == [expected[w] for w in block]
+    assert len(single.tables) == 40
+    before = len(calls)
+    signed_count(single, 1 << s)
+    for w in block:
+        if all((w >> j << j) in single.tables for j in range(s) if (w >> j) & 1):
+            assert signed_count(single, w) == expected[w]
+    assert len(calls) == before
+    far, _ = counted_request(random_request(0))
+    assert signed_count(far, (1 << 48) + 12345678901) == 21
+    assert len(far.tables) == 40
 
 
 @given(st.integers(min_value=0, max_value=1000),
@@ -332,10 +387,10 @@ def test_generic_exponent_limit():
 
 
 def test_tree_coloring_table():
-    for request in BATCH_REQUESTS.values():
-        color = TreeColoring(request, 5, description="checked")
+    for make in BATCH_REQUESTS.values():
+        color = TreeColoring(make(), 5, description="checked")
         ws = [1, 2, 9, 9, 300, 1 << 30]
-        assert color.table(ws) == [color(w) for w in ws]
+        assert color.table(ws) == [TreeColoring(make(), 5)(w) for w in ws]
         assert color.table(ws)[0] == 0
         assert color.description == "checked"
     with pytest.raises(ValueError):
