@@ -225,8 +225,10 @@ class SetSpec:
 class SetFamily:
     """Truth, member enumeration and weak apartness over a tuple of SetSpec.
 
-    truth, block_members, members_upto_bit and weak_apart_on read indices
-    outside the catalog as the empty set.
+    Every query reads an index at or past count, outside the catalog, as
+    the empty set.  pi3's priority recurrence relies on this: past the
+    catalog it asks for one such index and takes its answer for all of
+    them, so a subclass must not answer differently for two of them.
     """
 
     def __init__(self, sets: Iterable[SetSpec], description=""):
@@ -345,8 +347,10 @@ class MonotoneFamily(SetFamily):
     membership in the i-th set means the stage limit is finite for every
     y.  Members of the i-th set settle to its ceiling, ceilings[i];
     everything else follows the ramp max(0, s - ramp_lag), the simplest
-    monotone unbounded profile.  Indices outside the catalog behave as the
-    empty set (pure ramp).  The constructor checks the ceilings exactly:
+    monotone unbounded profile.  Every query, evaluate and block_min
+    included, reads an index at or past count as the empty set (pure
+    ramp), as SetFamily requires: the stage table claims every such index
+    from one block_min read.  The constructor checks the ceilings exactly:
     one per set, none negative.
 
     block_min provides the minimum evaluate-value over a whole block

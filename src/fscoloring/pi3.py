@@ -44,16 +44,24 @@ def guess_element(family, i, n, y, s) -> int:
     return family.block_min(i, n, y, s)[1]
 
 
-def _priority(memo, key, n, claims) -> Optional[int]:
+def _priority(memo, key, n, claims, count) -> Optional[int]:
     """Fill memo[key(m)] for m = 1..n, in increasing m, and return the
     entry at n: the least i < m with claims(i, m) that no smaller
-    exponent took, else None."""
+    exponent took, else None.
+
+    Every index at or past count (the catalog's size) reads as the empty
+    set, so they all claim alike: past the catalog one claim, at count,
+    decides them, and if it holds the entry is the least index in
+    [count, m) not yet taken.
+    """
     taken = set()
     for m in range(1, n + 1):
         entry = key(m)
         if entry not in memo:
             memo[entry] = next(
-                (i for i in range(m) if i not in taken and claims(i, m)), None)
+                (i for i in range(min(m, count)) if i not in taken and claims(i, m)), None)
+            if memo[entry] is None and count < m and claims(count, m):
+                memo[entry] = next((i for i in range(count, m) if i not in taken), None)
         if memo[entry] is not None:
             taken.add(memo[entry])
     return memo[entry]
@@ -95,7 +103,7 @@ class Pi3Engine:
             )
         family = self.family
         return _priority(self.table, lambda m: (m, y, k, s), n,
-                         lambda i, m: guess_bound(family, i, m, y, s) < k)
+                         lambda i, m: guess_bound(family, i, m, y, s) < k, family.count)
 
     def stable_index(self, n) -> Optional[int]:
         """Limit priority index at exponent n: the priority recurrence over
@@ -104,7 +112,8 @@ class Pi3Engine:
             return self.stable[n]
         if n < 1:
             raise ValueError("exponents start at 1, got %r" % (n,))
-        return _priority(self.stable, lambda m: m, n, self.family.block_members)
+        return _priority(self.stable, lambda m: m, n, self.family.block_members,
+                         self.family.count)
 
     def q(self, n, y, k, s) -> int:
         """The guess request: chosen family's guess element of the block at

@@ -13,6 +13,7 @@ single color, request, chain or bookkeeping value shows here.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -93,12 +94,19 @@ GOLDEN = {
 }
 
 
+def assert_rendered_as_json_dumps(report):
+    """harness.render_report wrote the report exactly as json.dumps would."""
+    text = report.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_digest(name, tmp_path, capsys):
     argv, digest = GOLDEN[name]
     report = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert_rendered_as_json_dumps(report)
     assert cli.main(["verify", str(report)]) == 0
     assert "VERIFIED" in capsys.readouterr().out
 
@@ -170,5 +178,6 @@ def test_witness_report_digest(name, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == WITNESS_GOLDEN[name]
+    assert_rendered_as_json_dumps(report)
     assert cli.main(["verify", str(report)]) == 0
     assert "VERIFIED" in capsys.readouterr().out

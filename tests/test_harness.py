@@ -9,6 +9,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscoloring import cli, harness
 from fscoloring.apartness import weak_apartness_killer
@@ -230,6 +232,76 @@ class TestReports:
         ok, details = harness.verify_report(payload)
         assert not ok
         assert any("does not match" in line for line in details)
+
+
+# JSON-like values with every scalar json.dumps renders, non-ASCII text and
+# escapes, empty and nested containers, tuples, and dicts keyed by ints
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers(), children)),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_render_matches_json_dumps(self, payload):
+        assert harness.render_report(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"a": [], "b": {}}, [[[]]], "\u00e9\n\"\\\t\u2028\U0001f600",
+        [float("nan"), float("inf"), -float("inf"), 1e300, -0.0], {3: {"k": (1, "x")}},
+        {"": None, "\x00": True, "z": False},
+    ])
+    def test_render_edge_cases(self, payload):
+        assert harness.render_report(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_shorter_report_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "report.json"
+        long, short = harness.eval_table({"id": "popcount"}, 1, 64), {"report": "x"}
+        harness.write_report(str(path), long)
+        harness.write_report(str(path), short)
+        assert path.read_text(encoding="utf-8") == harness.render_report(short)
+        harness.write_report(str(path), long)
+        assert path.read_text(encoding="utf-8") == harness.render_report(long)
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 10000)
+        link.symlink_to(target)
+        harness.write_report(str(link), {"a": "\u00e9"})
+        assert link.is_symlink()
+        assert target.read_bytes() == b'{\n  "a": "\\u00e9"\n}\n'
+
+    def test_devices_and_pipes_take_reports(self):
+        harness.write_report(os.devnull, {"a": "b"})
+        read_end, write_end = os.pipe()
+        try:
+            harness.write_report("/dev/fd/%d" % write_end, {"a": "b"})
+            assert os.read(read_end, 100) == harness.render_report({"a": "b"}).encode()
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_umask(self, umask, tmp_path):
+        path = tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            harness.write_report(str(path), {})
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("out", [".", "missing/report.json"])
+    def test_unwritable_path_exits_2(self, out, tmp_path, capsys):
+        argv = ["eval", "--coloring", "popcount", "--end", "3", "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestProductKill:
@@ -635,6 +707,19 @@ class TestMalformedInput:
         result = fresh_cli([catalog, "witness", "--config", str(path), "--index", "0", *flags],
                            timeout=30, preexec_fn=_cap_address_space)
         assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["eval", "--coloring", "pi3", "--end", "3", "--config"],
+        ["pi3", "witness", "--index", "0", "--config"],
+    ])
+    def test_deeply_nested_json_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        assert cli.main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s nests JSON values too deeply to read\n" % path
 
     @pytest.mark.parametrize("name", ["families-not-a-list", "config-null", "set-missing",
                                       "index-a-list", "modulus-a-list"])

@@ -336,7 +336,8 @@ PRIORITY_FAMILIES = {
     "instant": lambda: monotone_catalog("instant"),
     "delayed": lambda: monotone_catalog("delayed"),
     # one family whose first member sits at exponent 13: every exponent
-    # below it scans indices outside the catalog
+    # below it, and every one past it up to 40, reads indices outside the
+    # catalog
     "deep": lambda: MonotoneFamily(
         [SetSpec.powers(modulus=2, residue=1, min_exponent=13)], [1], ramp_lag=2),
 }
@@ -346,9 +347,9 @@ PRIORITY_FAMILIES = {
 def test_priority_readings_match_reference_loops(name):
     family = PRIORITY_FAMILIES[name]()
     staged = [(n, y, k, s)
-              for y in (2, 3, 5, 8, 14, 16) for n in range(1, y)
+              for y in (2, 3, 5, 8, 14, 16, 40) for n in range(1, y)
               for k in (y, y + 1, y + 4) for s in (k, k + 3, k + 11)]
-    exponents = list(range(1, 21))
+    exponents = list(range(1, 41))
     # one engine for every query, in a shuffled order, so later answers
     # come from entries earlier queries filled
     random.Random(name).shuffle(staged)
@@ -361,3 +362,20 @@ def test_priority_readings_match_reference_loops(name):
     if name == "deep":
         assert engine.stable_index(13) == 0
         assert [engine.stable_index(n) for n in range(1, 13)] == [None] * 12
+        assert [engine.stable_index(n) for n in range(14, 41)] == [None] * 27
+
+
+def test_deep_coloring_block_min_reads():
+    # past the catalog the stage table reads one index per entry: coloring
+    # this vertex read block_min 3,181 times when every index below the
+    # exponent was scanned, and reads it 396 times now
+    family = PRIORITY_FAMILIES["deep"]()
+    reads = []
+    block_min = MonotoneFamily.block_min
+
+    def counted(self, *args):
+        reads.append(args)
+        return block_min(self, *args)
+    with mock.patch.object(MonotoneFamily, "block_min", counted):
+        color = pi3.coloring(family)((1 << 40) | (339563 << 20))
+    assert (color, len(reads)) == (0, 396)
