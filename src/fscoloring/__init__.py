@@ -2,8 +2,8 @@
 
 The library builds colorings of the positive integers from "request"
 functions on dyadic blocks, realizes two limit-approximation priority
-constructions on pluggable fixture families, and ships the witness
-harness that re-verifies every claimed kill from scratch.
+constructions on fixture families given as checked data, and ships the
+witness harness that re-verifies every claimed kill from scratch.
 """
 
 from types import ModuleType as _ModuleType
@@ -30,7 +30,6 @@ from .families import (
     SetSpec,
     delta3_catalog,
     monotone_catalog,
-    validate_family,
 )
 from .treecolor import (
     BlockTree,

@@ -25,6 +25,8 @@ from .errors import Guards, VerificationError, WitnessSearchError
 from .families import Delta3Family
 from .treecolor import TreeColoring, TriRequestFunction, block_max, lift_tri
 
+SETTLING_OFFSETS = (1, 2, 5)  # where check_candidate_settling samples k, s past their bounds
+
 
 def block_indicator(family: Delta3Family, i: int, n: int, k: int, s: int) -> int:
     """1 iff some member of the block at exponent n is staged-in at (k, s)."""
@@ -108,8 +110,8 @@ def candidate_limit(family: Delta3Family, i: int,
     )
 
 
-def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = Guards.horizon,
-                             sample_offsets=(1, 2, 5)) -> tuple:
+def check_candidate_settling(family: Delta3Family, i: int, *,
+                             horizon: int = Guards.horizon) -> tuple:
     """Cross-check staged candidate sets against the truth limit.
 
     Samples stage pairs beyond the settling bounds; any disagreement is a
@@ -120,10 +122,10 @@ def check_candidate_settling(family: Delta3Family, i: int, *, horizon: int = Gua
     big_n = max(limit)
     query = range(1, 1 << (big_n + 1))
     k_floor = family.settle_k(i, query)
-    for dk in sample_offsets:
+    for dk in SETTLING_OFFSETS:
         k = k_floor + dk
         s_floor = max(family.settle_s(i, k, query), big_n)
-        for ds in sample_offsets:
+        for ds in SETTLING_OFFSETS:
             s = s_floor + ds
             staged = candidate_set(family, i, k, s)
             if staged != limit:

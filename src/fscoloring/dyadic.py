@@ -4,8 +4,8 @@ A positive integer is read as the finite set of its binary digit
 positions.  This module provides the two measures of that set (highest
 and lowest set bit), the blocks of integers sharing a highest bit, the
 apartness relations that make sums carry-free, and finite subset sums.
-All values are plain Python ints with no width assumption; everything is
-a pure function and safe for unrestricted concurrent use.
+All values are plain Python ints with no width assumption, and every
+function is pure.
 """
 
 from __future__ import annotations

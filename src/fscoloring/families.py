@@ -8,34 +8,32 @@ The limit constructions consume two kinds of indexed families:
   where x belongs to the i-th set iff the stage limit stays finite for
   every y.
 
-Each family stores its schedule as data that its constructor checks: a
-DelaySchedule per set, or an integer ceiling per set and a ramp lag.
+Families are data: a DelaySchedule per set, or an integer ceiling per
+set and a ramp lag, which the constructor checks exactly.  That is the
+only check; the properties above follow from the schedule.  Subclasses
+that override evaluate or a settling oracle exist only in the tests.
 
 True universal enumerations of such families are not implementable, so
 every family here is backed by set descriptors: one SetSpec per index,
-a decidable, increasingly enumerable set.  The descriptors give exact
-truth, member enumeration, and settling oracles that bound how long the
-staged values may disagree with truth; the construction modules never
-read the oracles except inside witness finders.  Block queries (the
-least staged-in member of a block, the minimum count over a block) are
-answered from the descriptors, never by scanning the block, so they stay
-cheap at block exponents near 60.  The minimum count is a min of
-evaluate, the values validate_family probes, over the block's members
-and its least non-member.
+a decidable set.  The descriptors give exact truth, the members of
+each block, and settling oracles that bound how long the staged values
+may disagree with truth; the construction modules never read the oracles
+except inside witness finders.  Block queries (the least staged-in
+member of a block, the minimum count over a block) are answered from the
+descriptors, never by scanning the block, so they stay cheap at block
+exponents near 60.  The minimum count is a min of evaluate over the
+block's members and its least non-member.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .dyadic import has_weak_apartness, top_bit
 from .errors import FixtureError
-from .treecolor import _absorb, _mix
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +124,6 @@ class SetSpec:
             if (q.bit_length() - 1) % self.step == 0:
                 return True
         return False
-
-    def members(self) -> Iterator[int]:
-        """Lazy strictly increasing enumeration."""
-        if self.kind == "explicit":
-            return iter(self.elements)
-        if self.kind == "powers":
-            def powers_gen():
-                e = self.min_exponent
-                while e % self.modulus != self.residue:
-                    e += 1
-                while True:
-                    yield 1 << e
-                    e += self.modulus
-            return powers_gen()
-
-        def scaled(c):
-            j = 0
-            while True:
-                yield c << (self.step * j)
-                j += 1
-
-        def merged():
-            last = 0
-            for x in heapq.merge(*(scaled(c) for c in self.coefficients)):
-                if x != last:
-                    yield x
-                last = x
-
-        return merged()
 
     def members_upto_bit(self, horizon: int) -> list:
         """All members whose top bit is at most horizon, read block by block
@@ -354,10 +323,11 @@ class MonotoneFamily(SetFamily):
     one per set, none negative.
 
     block_min provides the minimum evaluate-value over a whole block
-    together with its least witness.  It reads evaluate itself, but only
-    at the block's members (from the set descriptor) and its least
-    non-member, rather than scanning the block, so guesses stay cheap
-    even at block exponents near 60 and follow any override of evaluate.
+    together with its least witness.  It reads evaluate itself, so the
+    value formula lives in one place, but only at the block's members
+    (from the set descriptor) and its least non-member, rather than
+    scanning the block, so guesses stay cheap even at block exponents
+    near 60.  Subclasses that override evaluate exist only in the tests.
     """
 
     def __init__(self, sets: Iterable[SetSpec], ceilings=None, ramp_lag=0, description=""):
@@ -389,10 +359,6 @@ class MonotoneFamily(SetFamily):
     def member_limit(self, i, x, y) -> int:
         return self.ceilings[i] if 0 <= i < self.count else 0
 
-    def member_constant_stage(self, i, x, y) -> int:
-        """Stage from which evaluate(i, x, y, .) is constant."""
-        return self.divergence_stage(i, x, y, self.member_limit(i, x, y))
-
     def divergence_stage(self, i, x, y, target) -> int:
         """Least stage from which non-member values, the ramp, reach target."""
         return target + self.ramp_lag if target > 0 else 0
@@ -400,132 +366,6 @@ class MonotoneFamily(SetFamily):
     def block_limit(self, i, n, y) -> Optional[int]:
         """Stage limit of the block minimum; None when the block is empty."""
         return min((self.member_limit(i, x, y) for x in self.block_members(i, n)), default=None)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-@dataclass
-class FamilyValidation:
-    checks: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "family valid (%d checks)" % self.checks
-        lines = ["family INVALID (%d checks, %d violations):" % (self.checks, len(self.violations))]
-        lines += ["  - %s" % v for v in self.violations[:10]]
-        if len(self.violations) > 10:
-            lines.append("  ... %d more" % (len(self.violations) - 10))
-        return "\n".join(lines)
-
-
-@functools.lru_cache(maxsize=4)
-def _sample_grid(seed, samples, max_index, max_point, max_param) -> tuple:
-    """validate_family's seeded probes: for each index i, a tuple of (x, a, b).
-
-    The points x are the corner points followed by 1 + _mix(seed, 1, j) %
-    max_point for each sample j; each x carries six parameter pairs
-    a = _mix(seed, 2, i, x, j) % max_param, b = _mix(seed, 3, i, x, j) %
-    max_param.  Each shared prefix of those hashes is absorbed once.
-    """
-    seeded = _mix(seed)
-    point_state, a_state, b_state = (_absorb(seeded, tag) for tag in (1, 2, 3))
-    points = (1, 2, 3, 4, 5, 8, 12, 31, 32) + tuple(
-        1 + _absorb(point_state, j) % max_point for j in range(samples))
-    grid = []
-    for i in range(max_index):
-        a_i, b_i = _absorb(a_state, i), _absorb(b_state, i)
-        probes = []
-        for x in points:
-            a_x, b_x = _absorb(a_i, x), _absorb(b_i, x)
-            probes += [(x, _absorb(a_x, j) % max_param, _absorb(b_x, j) % max_param)
-                       for j in range(6)]
-        grid.append(tuple(probes))
-    return tuple(grid)
-
-
-def validate_family(family, *, max_index=4, max_point=4096, max_param=128,
-                    samples=200, seed=7) -> FamilyValidation:
-    """Probe totality, value range, monotonicity and settling soundness.
-
-    Exhausts a small corner of the grid and adds seeded samples inside the
-    stated bounds; violations are collected, not raised.  The sample grid
-    does not depend on the family: it is a pure function of (seed,
-    samples, bounds), built once per process and shared by every family
-    validated with the same arguments.
-    """
-    violations = []
-    checks = 0
-    is_monotone = isinstance(family, MonotoneFamily)
-    grid = _sample_grid(seed, samples, max_index, max_point, max_param)
-
-    for i, probes in enumerate(grid):
-        for x, a, b in probes:
-            checks += 1
-            value = family.evaluate(i, x, a, b)
-            if is_monotone:
-                if not isinstance(value, int) or value < 0:
-                    violations.append(
-                        "evaluate(%d,%d,%d,%d) = %r not a count" % (i, x, a, b, value)
-                    )
-                # separate monotonicity in y and in s
-                if family.evaluate(i, x, a + 1, b) < value:
-                    violations.append(
-                        "decreasing in y at (%d,%d,%d,%d)" % (i, x, a, b)
-                    )
-                if family.evaluate(i, x, a, b + 1) < value:
-                    violations.append(
-                        "decreasing in s at (%d,%d,%d,%d)" % (i, x, a, b)
-                    )
-            else:
-                if value not in (0, 1):
-                    violations.append(
-                        "evaluate(%d,%d,%d,%d) = %r not in {0,1}" % (i, x, a, b, value)
-                    )
-
-        # settling soundness on a small query set
-        query = [x for x in range(1, 16)]
-        if is_monotone:
-            for x in query:
-                checks += 1
-                y = 4
-                if family.truth(i, x):
-                    stage = family.member_constant_stage(i, x, y)
-                    limit = family.member_limit(i, x, y)
-                    for extra in (0, 1, 5):
-                        if family.evaluate(i, x, y, stage + extra) != limit:
-                            violations.append(
-                                "member (%d,%d) not constant from stage %d" % (i, x, stage)
-                            )
-                            break
-                else:
-                    for target in (3, 17):
-                        stage = family.divergence_stage(i, x, y, target)
-                        if family.evaluate(i, x, y, stage) < target:
-                            violations.append(
-                                "non-member (%d,%d) below target %d at claimed stage %d"
-                                % (i, x, target, stage)
-                            )
-        else:
-            big_k = family.settle_k(i, query) + 1
-            for extra_k in (0, 3):
-                k = big_k + extra_k
-                big_s = family.settle_s(i, k, query) + 1
-                for extra_s in (0, 2, 7):
-                    for x in query:
-                        checks += 1
-                        if family.evaluate(i, x, k, big_s + extra_s) != family.truth(i, x):
-                            violations.append(
-                                "staged value disagrees with truth beyond settling "
-                                "bounds at (i=%d, x=%d, k=%d, s=%d)" % (i, x, k, big_s + extra_s)
-                            )
-    return FamilyValidation(checks=checks, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +423,10 @@ def build_family(config: dict):
     This is the one check of a config, and it is exact: every integer
     field must be a decimal string, every set descriptor valid and every
     ceiling nonnegative (MonotoneFamily checks that).  Such a family
-    satisfies validate_family's properties by construction: its staged
-    values are truth or its complement against an integer delay, or
-    min(ceiling, ramp) with a constant ceiling, so no sampling is needed.
+    has the range, monotonicity and settling its catalog promises by
+    construction: its staged values are truth or its complement against
+    an integer delay, or min(ceiling, ramp) with a constant ceiling, so
+    no sampling is needed.
     """
     if not isinstance(config, dict):
         raise FixtureError("a config must be an object, got %s" % type(config).__name__)

@@ -119,10 +119,12 @@ def search_mono(color: Callable, max_terms: Optional[int], bound: int, size: int
     """First size-element subset of [1, bound] with monochromatic sums.
 
     Enumerates subsets in lexicographic order, pruning any partial set
-    whose bounded-term subset sums already carry two colors.  max_terms
-    of None means sums of any number of terms.  Exhaustion is reported
-    as a result, never silently.  color is memoized for the duration of
-    the call.
+    whose bounded-term subset sums already carry two colors or that too
+    few values remain to complete.  So every node visited is a prefix of
+    a size-subset, and the guard on comb(bound, size) bounds the work.
+    max_terms of None means sums of any number of terms.  Exhaustion is
+    reported as a result, never silently.  color is memoized for the
+    duration of the call.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
@@ -141,7 +143,7 @@ def search_mono(color: Callable, max_terms: Optional[int], bound: int, size: int
             if subset_filter is None or subset_filter(tuple(chosen)):
                 found = tuple(chosen)
             return
-        for x in range(start, bound + 1):
+        for x in range(start, bound + len(chosen) - size + 2):
             if found is not None:
                 return
             a = color(x) if anchor is None else anchor

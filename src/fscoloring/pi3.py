@@ -33,6 +33,9 @@ from .dyadic import low_bit, top_bit
 from .errors import GuardError, Guards, VerificationError, WitnessSearchError
 from .treecolor import RequestFunction, TreeColoring, TriRequestFunction, color_mod, lift_tri
 
+SETTLING_OFFSETS = (1, 3)  # where check_stage_settling samples y, k, s past their bounds
+BLIND_RETRIES = 64  # failed guess equations a blind chain search retries
+
 
 def guess_bound(family, i, n, y, s) -> int:
     """Minimum family count over the block at exponent n."""
@@ -160,7 +163,7 @@ def coloring(family, chain_bits=Guards.chain_bits):
     return Pi3Engine(family, chain_bits).coloring()
 
 
-def check_stage_settling(engine, n, *, sample_offsets=(1, 3)) -> Optional[int]:
+def check_stage_settling(engine, n) -> Optional[int]:
     """Cross-check staged indices against the truth limit at exponent n.
 
     Samples columns beyond the settling bounds computed from the family's
@@ -168,15 +171,15 @@ def check_stage_settling(engine, n, *, sample_offsets=(1, 3)) -> Optional[int]:
     """
     family = engine.family
     limit = engine.stable_index(n)
-    for dy in sample_offsets:
+    for dy in SETTLING_OFFSETS:
         y = n + dy
         k_thr, need_ramp = _column_requirements(engine, n, y)
-        for dk in sample_offsets:
+        for dk in SETTLING_OFFSETS:
             k = max(k_thr + dk, y)
             s_floor = k
             if need_ramp:
                 s_floor = max(s_floor, family.divergence_stage(0, 1, y, k))
-            for ds in sample_offsets:
+            for ds in SETTLING_OFFSETS:
                 s = s_floor + ds
                 staged = engine.stage_index(n, y, k, s)
                 if staged != limit:
@@ -321,12 +324,12 @@ def _required_final_stage(engine, i, n, chain) -> int:
     return needed
 
 
-def _blind_chain(engine, i, n, count, floor, retries=64):
+def _blind_chain(engine, i, n, count, floor):
     chain_bits = engine.chain_bits
     members = engine.family.members_upto_bit(i, engine.chain_bits)
     chain = []
     cursor = 0
-    budget = retries
+    budget = BLIND_RETRIES
     while True:
         while len(chain) < count and cursor < len(members):
             x = members[cursor]
@@ -349,8 +352,8 @@ def _blind_chain(engine, i, n, count, floor, retries=64):
         if budget <= 0:
             raise WitnessSearchError(
                 "gave up after %d retries; guess equation keeps failing at link %d"
-                % (retries, failed),
-                bound=retries, quantifier="settled guess equation",
+                % (BLIND_RETRIES, failed),
+                bound=BLIND_RETRIES, quantifier="settled guess equation",
             )
         del chain[failed + 1:]
 

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +19,9 @@ from fscoloring.families import (
     build_family,
     delta3_catalog,
     monotone_catalog,
-    validate_family,
 )
-from fscoloring.treecolor import _mix
+
+from family_oracle import members, validate
 
 ODD = SetSpec.powers(modulus=2, residue=1, min_exponent=1)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,7 +52,8 @@ class TestSetSpec:
         assert spec.block_members(4) == [16, 24]
 
     def test_block_members_match_enumeration(self):
-        # block_members reads the descriptor; the reference enumerates members
+        # block_members reads the descriptor; the oracle's reference
+        # enumerates members from the definition
         specs = list(CATALOG_SETS) + [
             SetSpec.explicit([1, 2, 3, 12, 13, 48, 200, 1 << 40]),
             SetSpec.coeff_powers((1, 3, 5, 6, 7, 12), step=3),
@@ -61,7 +61,7 @@ class TestSetSpec:
         ]
         for spec in specs:
             for n in range(45):
-                below = itertools.takewhile(lambda x: x < 1 << (n + 1), spec.members())
+                below = itertools.takewhile(lambda x: x < 1 << (n + 1), members(spec))
                 expected = [x for x in below if x >= 1 << n]
                 assert spec.block_members(n) == expected
         assert ODD.block_members(-1) == []
@@ -225,8 +225,8 @@ class TestMonotone:
 
     def test_settling_oracle(self):
         family = MonotoneFamily([ODD], [2], ramp_lag=6)
-        stage = family.member_constant_stage(0, 8, 3)
         limit = family.member_limit(0, 8, 3)
+        stage = family.divergence_stage(0, 8, 3, limit)
         assert all(family.evaluate(0, 8, 3, stage + d) == limit for d in range(6))
         stage = family.divergence_stage(0, 9, 3, 17)
         assert family.evaluate(0, 9, 3, stage) >= 17
@@ -344,26 +344,15 @@ def configs(draw):
 @given(configs())
 @settings(max_examples=150, deadline=None)
 def test_built_configs_validate(config):
-    # build_family is the only check a config gets on the witness path, so
-    # every family it accepts must pass the sampled validation it replaced,
-    # and every config it refuses must be refused with a FixtureError
+    # build_family is the only check a config gets, so every family it
+    # accepts must pass the sampled oracle, and every config it refuses
+    # must be refused with a FixtureError
     try:
         family = build_family(config)
     except FixtureError:
         return
-    report = validate_family(family)
-    assert report.ok, str(report)
-
-
-def naive_grid(seed, samples, max_index, max_point, max_param):
-    """The sample grid from its plain definition, one full hash per value."""
-    points = [1, 2, 3, 4, 5, 8, 12, 31, 32]
-    points += [1 + _mix(seed, 1, j) % max_point for j in range(samples)]
-    return tuple(
-        tuple((x, _mix(seed, 2, i, x, j) % max_param, _mix(seed, 3, i, x, j) % max_param)
-              for x in points for j in range(6))
-        for i in range(max_index)
-    )
+    _checks, violations = validate(family)
+    assert not violations, violations[:10]
 
 
 def broken_monotone():
@@ -407,8 +396,8 @@ class TestValidate:
         for family in (delta3_catalog("instant"), delta3_catalog("delayed"),
                        delta3_catalog("growing"), monotone_catalog("instant"),
                        monotone_catalog("delayed")):
-            report = validate_family(family)
-            assert report.ok, str(report)
+            _checks, violations = validate(family)
+            assert not violations, violations[:10]
 
     @pytest.mark.parametrize("catalog, variant", [
         ("delta3", "instant"), ("delta3", "delayed"), ("delta3", "growing"),
@@ -428,52 +417,31 @@ class TestValidate:
 
         counted = copy.copy(family)
         counted.__class__ = Counting
-        report = validate_family(counted)
-        assert report.ok
-        assert (Counting.calls, report.checks) == (
+        checks, violations = validate(counted)
+        assert not violations
+        assert (Counting.calls, checks) == (
             (5376, 5376) if catalog == "delta3" else (15176, 5076))
 
     def test_detects_non_monotone(self):
-        report = validate_family(broken_monotone())
-        assert not report.ok
-        assert any("decreasing in s" in v for v in report.violations)
+        _checks, violations = validate(broken_monotone())
+        assert any("decreasing in s" in v for v in violations)
 
     def test_detects_wrong_settling_bound(self):
-        report = validate_family(lying_delta3())
-        assert not report.ok
-        assert any("disagrees with truth" in v for v in report.violations)
+        _checks, violations = validate(lying_delta3())
+        assert any("disagrees with truth" in v for v in violations)
 
 
 class TestSampleGrid:
-    @pytest.mark.parametrize("params", [
-        (7, 200, 4, 4096, 128),  # validate_family's defaults
-        (3, 17, 2, 100, 9),
-        (0, 0, 3, 1, 1),
-        (2 ** 70 + 5, 5, 1, 2 ** 65, 2 ** 66),  # parts wider than one 64-bit limb
-    ])
-    def test_matches_plain_definition(self, params):
-        assert families._sample_grid(*params) == naive_grid(*params)
-
     @pytest.mark.parametrize("name", sorted(VALIDATED))
     def test_validation_matches_naive_grid(self, name):
+        # the oracle samples the plain grid, one full hash per value; its
+        # check count and every violation message, in order, are pinned
         family = VALIDATED[name]()
-        report = validate_family(family)
-        with mock.patch.object(families, "_sample_grid", naive_grid):
-            reference = validate_family(family)
-        assert report.checks == reference.checks
-        assert report.violations == reference.violations
-        assert report.checks == (5076 if isinstance(family, MonotoneFamily) else 5376)
+        checks, violations = validate(family)
+        assert checks == (5076 if isinstance(family, MonotoneFamily) else 5376)
         if name in VIOLATION_DIGESTS:
-            digest = hashlib.sha256("\n".join(report.violations).encode()).hexdigest()
-            assert (len(report.violations), digest[:16]) == VIOLATION_DIGESTS[name]
-
-    def test_grid_built_once_for_two_families(self):
-        # a lost memo shows as a second miss, with no timing involved
-        families._sample_grid.cache_clear()
-        validate_family(delta3_catalog("delayed"))
-        validate_family(monotone_catalog("instant"))
-        info = families._sample_grid.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+            digest = hashlib.sha256("\n".join(violations).encode()).hexdigest()
+            assert (len(violations), digest[:16]) == VIOLATION_DIGESTS[name]
 
 
 def test_delta3_family_needs_one_delay_per_set():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import resource
@@ -73,6 +74,16 @@ class TestSearchMono:
         with pytest.raises(GuardError) as failure:
             harness.search_mono(popcount_coloring, 2, 10 ** 6, 4)
         assert failure.value.guard == "search_combinations"
+
+    @pytest.mark.parametrize("color", [popcount_coloring, weak_apartness_killer])
+    def test_matches_lexicographic_scan(self, color):
+        # the search stops where too few values remain to fill the subset;
+        # its outcome is still the first monochromatic subset in order
+        for bound, size, max_terms in itertools.product(range(2, 13), (2, 3, 4), (1, 2, None)):
+            limit = size if max_terms is None else min(max_terms, size)
+            expected = next((subset for subset in itertools.combinations(range(1, bound + 1), size)
+                             if len({color(v) for v in finite_sums(subset, limit)}) == 1), None)
+            assert harness.search_mono(color, max_terms, bound, size).found == expected
 
     def test_unbounded_terms(self):
         bounded = harness.search_mono(popcount_coloring, None, 16, 2)
@@ -998,6 +1009,21 @@ def test_verify_names_malformed_coloring_field(key, value, capsys, tmp_path):
                                    "string: %r\nVERIFICATION FAILED\n" % (key, value), "")
 
 
+def test_verify_search_within_its_guard(tmp_path):
+    # comb(60, 59) is 60 subsets, inside the search_combinations guard; the
+    # search must not extend prefixes that no 59-subset grows from, which
+    # number about 2**30, so verify answers well inside a second
+    report = tmp_path / "search.json"
+    report.write_text(json.dumps({
+        "report": "search-mono", "claim": "outcome of an exhaustive bounded monochromatic-set search",
+        "coloring": {"id": "popcount"}, "max_terms": "1", "bound": "60", "size": "59",
+        "outcome": "exhausted",
+    }))
+    result = fresh_cli(["verify", str(report)], timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["search outcome 'exhausted' re-verified", "VERIFIED"]
+
+
 def test_verify_eval_table_with_oversized_end(tmp_path):
     # an end of 10**9 behind four values must fail on the table's size, not
     # re-run a 10**9-vertex table first
@@ -1014,8 +1040,8 @@ def test_verify_eval_table_with_oversized_end(tmp_path):
 
 
 def test_pi3_config_rejects_negative_ceiling(tmp_path, capsys):
-    # min_exponent 13 puts every member past validate_family's samples;
-    # MonotoneFamily checks the ceiling itself, exactly
+    # min_exponent 13 puts every member past the test oracle's sampled
+    # points (x up to 4096); MonotoneFamily checks the ceiling itself, exactly
     config = tmp_path / "negative.json"
     config.write_text(json.dumps({"catalog": "pi3", "families": [{
         "index": "0", "kind": "monotone", "ceiling": "-3",
