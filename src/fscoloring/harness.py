@@ -21,9 +21,10 @@ import json
 import os
 import stat
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
+from operator import or_
 from typing import Callable, Optional
 
 from . import apartness, delta3, pi3
@@ -122,56 +123,58 @@ def search_mono(color: Callable, max_terms: Optional[int], bound: int, size: int
     whose bounded-term subset sums already carry two colors or that too
     few values remain to complete.  So every node visited is a prefix of
     a size-subset, and the guard on comb(bound, size) bounds the work.
-    max_terms of None means sums of any number of terms.  Exhaustion is
-    reported as a result, never silently.  color is memoized for the
-    duration of the call.
+    A node reads all of its admissible next values at once from bitsets:
+    the values of the anchor's color, shifted down by each sum of fewer
+    than max_terms chosen values.  Before that it colors every value up
+    to the largest sum the node can reach, so values the pruning never
+    looks at may be colored too.  max_terms of None means sums of any
+    number of terms.  Exhaustion is reported as a result, never silently.
+    color is memoized for the duration of the call.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
+    if max_terms is not None and max_terms < 1:
+        raise ValueError("max_terms must be at least 1, got %r" % (max_terms,))
     total = comb(bound, size)
     if total > max_combinations:
         raise GuardError("search_combinations", max_combinations, total)
     color = lru_cache(maxsize=None)(color)
     limit = size if max_terms is None else min(max_terms, size)
+    same = {}  # color -> bitset of the values 1..colored of that color
+    colored = 0
     found = None
 
-    def dfs(chosen, sums_by_terms, anchor, start):
-        nonlocal found
-        if found is not None:
-            return
-        if len(chosen) == size:
-            if subset_filter is None or subset_filter(tuple(chosen)):
-                found = tuple(chosen)
-            return
-        for x in range(start, bound + len(chosen) - size + 2):
-            if found is not None:
-                return
-            a = color(x) if anchor is None else anchor
-            if color(x) != a:
-                continue
-            new_sums = {1: [x]}
-            ok = True
-            for terms in range(2, limit + 1):
-                fresh = []
-                for value in sums_by_terms.get(terms - 1, ()):
-                    candidate = value + x
-                    if color(candidate) != a:
-                        ok = False
-                        break
-                    fresh.append(candidate)
-                if not ok:
-                    break
-                if fresh:
-                    new_sums[terms] = fresh
-            if not ok:
-                continue
-            merged = {
-                terms: list(sums_by_terms.get(terms, ())) + new_sums.get(terms, [])
-                for terms in range(1, limit + 1)
-            }
-            dfs(chosen + [x], merged, a, x + 1)
+    def grow(sums, x):
+        # sums[t] is the bitset of the sums of t chosen values, t < limit
+        return [1] + [sums[t] | sums[t - 1] << x for t in range(1, limit)]
 
-    dfs([], {}, None, 1)
+    def dfs(chosen, sums, anchor):
+        nonlocal colored, found
+        start, stop = chosen[-1] + 1, bound + len(chosen) - size + 2
+        shifts = reduce(or_, sums)
+        top = shifts.bit_length() + stop - 2  # the largest sum this node reaches
+        for v in range(colored + 1, top + 1):
+            c = color(v)
+            same[c] = same.get(c, 0) | 1 << v
+        colored = max(colored, top)
+        allowed, bits = (1 << stop) - (1 << start), same[anchor]
+        while shifts:  # bit 0 of shifts keeps the values of the anchor's color
+            low = shifts & -shifts
+            allowed &= bits >> low.bit_length() - 1
+            shifts ^= low
+        while allowed and found is None:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
+            if len(chosen) + 1 < size:
+                dfs(chosen + [x], grow(sums, x), anchor)
+            elif subset_filter is None or subset_filter((*chosen, x)):
+                found = (*chosen, x)
+
+    for x in range(1, bound - size + 2):
+        if found is not None:
+            break
+        dfs([x], grow([1] + [0] * (limit - 1), x), color(x))
     colors = {}
     if found is not None:
         colors = {s: color_tuple(color(s)) for s in finite_sums(found, limit)}
@@ -515,6 +518,8 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
                       out: Optional[str] = None) -> dict:
     """Validate tree structure (and optionally the increment contract) for
     seeded random request functions on every block up to max_exponent.
+    The contract is checked on the edges of function 0's tree, so each
+    edge is requested once, plus one evaluation per bridge for the counts.
     Inputs that would check nothing are refused before any tree is built."""
     if max_exponent < 1:
         raise ValueError("max_exponent must be at least 1, got %r" % (max_exponent,))
@@ -526,18 +531,18 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
         raise GuardError("tree_exponent", guards.tree_exponent, max_exponent)
     results = []
     for s in range(1, max_exponent + 1):
-        edge_failures = 0
         contract_failures = 0
-        for j in range(functions):
-            request = random_request(seed + j)
-            tree = tree_edges(s, request, max_exponent=guards.tree_exponent)
-            if tree.problems():
-                edge_failures += 1
+        request = random_request(seed)
+        tree = tree_edges(s, request, max_exponent=guards.tree_exponent)
+        edge_failures = bool(tree.problems()) + sum(
+            1 for j in range(1, functions)
+            if tree_edges(s, random_request(seed + j), max_exponent=guards.tree_exponent).problems()
+        )
         if contract:
-            # every request edge steps the signed count by one
-            request = random_request(seed)
-            counts = signed_counts(request, range(1 << s, 1 << (s + 1)))
-            steps = [counts[w + request(n, w)] - counts[w] for w in counts for n in range(low_bit(w))]
+            # every request edge steps the signed count by one; function 0
+            # is the contract's request, so its tree holds those edges
+            counts = signed_counts(request, tree.vertices())
+            steps = [counts[b] - counts[a] for a, b, _n in tree.edges]
             for modulus in moduli:
                 if modulus < 2:
                     raise ValueError("modulus must be at least 2, got %r" % (modulus,))

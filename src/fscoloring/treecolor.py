@@ -47,6 +47,7 @@ FACTORED_MAX_EXPONENT = GENERIC_MAX_EXPONENT = 512
 GENERIC_MAX_ENTRIES = 1 << 19
 
 _MASK64 = (1 << 64) - 1
+_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # splitmix64's multipliers
 
 
 def block_max(n: int) -> int:
@@ -79,7 +80,7 @@ class RequestFunction:
 
     def __call__(self, n: int, w: int) -> int:
         value = self.fn(n, w)
-        if value < 1 or top_bit(value) != n:
+        if value < 1 or value.bit_length() != n + 1:
             raise ValueError(
                 "request %s returned %r at (n=%d, w=%d), not in block %d"
                 % (self.description, value, n, w, n)
@@ -103,7 +104,7 @@ class TriRequestFunction:
 
     def __call__(self, n: int, k: int, s: int) -> int:
         value = self._fn(n, k, s)
-        if value < 1 or top_bit(value) != n:
+        if value < 1 or value.bit_length() != n + 1:
             raise ValueError(
                 "tri request %s returned %r at (n=%d, k=%d, s=%d), not in block %d"
                 % (self.description, value, n, k, s, n)
@@ -163,9 +164,9 @@ def _absorb(h: int, part: int) -> int:
     p = int(part)
     while True:
         h = (h ^ (p & _MASK64)) & _MASK64
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+        h = (h * _MIX_A) & _MASK64
         h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK64
+        h = (h * _MIX_B) & _MASK64
         h ^= h >> 31
         p >>= 64
         if p <= 0:
@@ -192,11 +193,19 @@ def random_request(seed: int) -> RequestFunction:
 
     def fn(n, w):
         # (seed, n) is absorbed once per level; get/set keeps a concurrent
-        # fill correct, since every writer stores the same value
+        # fill correct, since every writer stores the same value.  A w of
+        # one limb takes _absorb's single round inline.
         state = levels.get(n)
         if state is None:
             state = levels[n] = _absorb(seeded, n)
-        return (1 << n) + (_absorb(state, w) % (1 << n))
+        if 0 <= w <= _MASK64:
+            h = ((state ^ w) * _MIX_A) & _MASK64
+            h ^= h >> 27
+            h = (h * _MIX_B) & _MASK64
+            h ^= h >> 31
+        else:
+            h = _absorb(state, w)
+        return (1 << n) + (h % (1 << n))
 
     return RequestFunction(fn, description="random(seed=%d)" % seed)
 
@@ -256,10 +265,9 @@ class BlockTree:
                 issues.append("cycle through edge (%d, %d)" % (a, b))
             else:
                 parent[ra] = rb
-        if not issues:
-            roots = {find(v) for v in range(size)}
-            if len(roots) != 1:
-                issues.append("%d components, expected 1" % len(roots))
+        # With nothing found, each of the size - 1 edges joined two components,
+        # and size - 1 such unions leave one: the edges span the block, so
+        # no input needs a component scan.
         return issues
 
     def validate(self) -> None:

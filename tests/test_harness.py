@@ -18,7 +18,7 @@ from fscoloring.apartness import weak_apartness_killer
 from fscoloring.dyadic import finite_sums, has_weak_apartness
 from fscoloring.errors import FixtureError, GuardError
 from fscoloring.families import Delta3Family, MonotoneFamily
-from fscoloring.treecolor import popcount_coloring
+from fscoloring.treecolor import RequestFunction, popcount_coloring
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +41,22 @@ SPARSE_POWERS = {"kind": "powers", "modulus": "100000000000", "residue": "1", "m
 SPARSE_COEFF = {"kind": "coeff_powers", "coefficients": ["1", "3"], "step": "100000000000"}
 NO_BLOCKS = "only 0 of 1 inhabited blocks above 0 found up to horizon 24"
 NO_BLIND_WITNESS = "no witness for fixture 0 below 65536 (not a claim that none exists)"
+
+
+# palettes of the oracle's colorings; tuple colors stand for product colorings
+PALETTES = [(0, 1), (0, 1, 2), ((0, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))]
+SUBSET_FILTERS = [None, lambda subset: sum(subset) % 2 == 0, lambda subset: subset[-1] - subset[0] >= 3]
+
+
+@st.composite
+def search_cases(draw):
+    """A coloring of 1..bound*size (enough for every sum a search reaches)
+    as a list, and the search's inputs."""
+    bound, size = draw(st.integers(0, 14)), draw(st.integers(2, 4))
+    palette = draw(st.sampled_from(PALETTES))
+    colors = draw(st.lists(st.sampled_from(palette), min_size=bound * size + 1,
+                           max_size=bound * size + 1))
+    return colors, draw(st.sampled_from([1, 2, 3, None])), bound, size
 
 
 def _cap_address_space():
@@ -84,6 +100,27 @@ class TestSearchMono:
             expected = next((subset for subset in itertools.combinations(range(1, bound + 1), size)
                              if len({color(v) for v in finite_sums(subset, limit)}) == 1), None)
             assert harness.search_mono(color, max_terms, bound, size).found == expected
+
+    @given(search_cases(), st.sampled_from(SUBSET_FILTERS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_combinations_oracle(self, case, subset_filter):
+        colors, max_terms, bound, size = case
+        color = colors.__getitem__
+        limit = size if max_terms is None else min(max_terms, size)
+        expected = next((subset for subset in itertools.combinations(range(1, bound + 1), size)
+                         if len({color(v) for v in finite_sums(subset, limit)}) == 1
+                         and (subset_filter is None or subset_filter(subset))), None)
+        result = harness.search_mono(color, max_terms, bound, size, subset_filter=subset_filter)
+        assert result.found == expected
+        assert result.colors == ({} if expected is None else {
+            v: harness.color_tuple(color(v)) for v in finite_sums(expected, limit)})
+
+    @pytest.mark.parametrize("bound", [3, 8, 10 ** 6])
+    def test_rejects_max_terms_below_one(self, bound):
+        # refused before the guard and the search; a bound below the size
+        # used to search nothing and report "exhausted"
+        with pytest.raises(ValueError, match="^max_terms must be at least 1, got 0$"):
+            harness.search_mono(popcount_coloring, 0, bound, 5)
 
     def test_unbounded_terms(self):
         bounded = harness.search_mono(popcount_coloring, None, 16, 2)
@@ -964,6 +1001,42 @@ def test_tree_check_without_contract_needs_no_moduli(capsys):
     assert cli.main(["tree", "check", "--max-exponent", "2", "--functions", "1",
                      "--moduli", "", "--no-contract"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "tree check OK"
+
+
+def test_tree_check_requests_each_edge_once():
+    # (functions + 1) * sum(2**s - 1): every function requests each edge
+    # of its tree once, and the contract's counts request each bridge of
+    # function 0 once more; it used to request every edge a second time
+    calls = []
+    original = RequestFunction.__call__
+
+    def counting(self, n, w):
+        calls.append(n)
+        return original(self, n, w)
+
+    with mock.patch.object(RequestFunction, "__call__", counting):
+        assert harness.tree_check_report(9, 20, 7, [2, 3, 5, 8])["ok"]
+    assert len(calls) == 21 * sum(2 ** s - 1 for s in range(1, 10)) == 21_273
+
+
+def test_search_refuses_max_terms_below_one(tmp_path, capsys):
+    # it used to exit 0 with a vacuous "exhausted" report that verified
+    out = tmp_path / "search.json"
+    assert cli.main(["search-mono", "--coloring", "killer", "--max-terms", "0",
+                     "--bound", "3", "--size", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: max_terms must be at least 1, got 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound, size", [(3, 5), (16, 3)])
+def test_verify_refuses_max_terms_below_one(bound, size, tmp_path, capsys):
+    payload = harness.search_report({"id": "killer"}, 1, bound, size)
+    payload["max_terms"] = "0"
+    report = tmp_path / "search.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    assert capsys.readouterr() == (
+        "verification failed: max_terms must be at least 1, got 0\nVERIFICATION FAILED\n", "")
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -9,6 +9,7 @@ from fscoloring import treecolor
 from fscoloring.dyadic import low_bit, top_bit
 from fscoloring.errors import GuardError
 from fscoloring.treecolor import (
+    BlockTree,
     MemoRequest,
     RequestFunction,
     TreeColoring,
@@ -69,6 +70,24 @@ def test_request_function_checks_block():
         bad(1, 8)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 63])
+def test_requests_reject_values_outside_their_block(n):
+    for value in (0, -1, (1 << n) - 1, 1 << (n + 1)):
+        request = RequestFunction(lambda _n, _w: value, "fixed")
+        with pytest.raises(ValueError) as failure:
+            request(n, 1 << 70)
+        assert str(failure.value) == ("request fixed returned %r at (n=%d, w=%d), not in block %d"
+                                      % (value, n, 1 << 70, n))
+        tri = TriRequestFunction(lambda _n, _k, _s: value, "fixed")
+        with pytest.raises(ValueError) as failure:
+            tri(n, 70, 71)
+        assert str(failure.value) == ("tri request fixed returned %r at (n=%d, k=70, s=71), "
+                                      "not in block %d" % (value, n, n))
+    for value in (1 << n, (2 << n) - 1):
+        assert RequestFunction(lambda _n, _w: value)(n, 1 << 70) == value
+        assert TriRequestFunction(lambda _n, _k, _s: value)(n, 70, 71) == value
+
+
 def test_request_tables_are_never_shared():
     # tables is no constructor argument, and a copy with another fn
     # starts empty instead of reading increments derived from the first
@@ -104,6 +123,70 @@ def test_tree_structure_random(seed, s):
     tree = tree_edges(s, random_request(seed))
     assert len(tree.edges) == (1 << s) - 1
     assert tree.problems() == []
+
+
+def test_block_tree_names_each_defect():
+    # the block at exponent 2 is [4, 8), spanned by 3 edges
+    cases = {
+        ((4, 5, 0), (4, 7, 1), (6, 7, 0)): [],
+        ((4, 5, 0), (6, 7, 0)): ["edge count 2, expected 3"],
+        ((4, 5, 0), (4, 8, 1), (6, 7, 0)): ["edge (4, 8) leaves the block"],
+        ((3, 5, 0), (4, 5, 1), (6, 7, 0)): ["edge (3, 5) leaves the block"],
+        ((4, 5, 0), (5, 6, 0), (4, 6, 1)): ["cycle through edge (4, 6)"],
+        ((4, 4, 0), (4, 5, 0), (6, 7, 0)): ["cycle through edge (4, 4)"],
+        ((4, 5, 0), (6, 7, 0), (5, 4, 1)): ["cycle through edge (5, 4)"],
+        ((4, 5, 0), (4, 5, 0)): ["edge count 2, expected 3", "cycle through edge (4, 5)"],
+    }
+    for edges, issues in cases.items():
+        tree = BlockTree(2, edges)
+        assert tree.problems() == issues
+        if issues:
+            with pytest.raises(ValueError) as failure:
+                tree.validate()
+            assert str(failure.value) == "block tree invalid: " + "; ".join(issues)
+
+
+@st.composite
+def edge_sets(draw):
+    """(s, pairs): a spanning tree of the block at exponent s, shuffled and
+    perhaps with one edge dropped, added or moved, or random pairs."""
+    s = draw(st.integers(1, 3))
+    lo, hi = 1 << s, 2 << s
+    vertex = st.integers(lo - 1, hi)
+    if draw(st.booleans()):
+        return s, draw(st.lists(st.tuples(vertex, vertex), max_size=hi - lo + 1))
+    order = draw(st.permutations(range(lo, hi)))
+    pairs = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, hi - lo)]
+    pairs = draw(st.permutations(pairs))
+    change = draw(st.sampled_from(["none", "drop", "add", "move"]))
+    if change == "drop":
+        pairs.pop()
+    elif change != "none":
+        pairs.insert(0, draw(st.tuples(vertex, vertex)))
+        if change == "move":
+            pairs.pop()
+    return s, pairs
+
+
+@given(edge_sets())
+@settings(max_examples=300, deadline=None)
+def test_problems_agree_with_breadth_first_search(case):
+    # problems() never scans components; a breadth-first search from the
+    # block root stands in for the scan from outside
+    s, pairs = case
+    lo, hi = 1 << s, 2 << s
+    adjacency = {v: [] for v in range(lo, hi)}
+    inside = all(lo <= a < hi and lo <= b < hi for a, b in pairs)
+    if inside:
+        for a, b in pairs:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    reached, frontier = {lo}, [lo]
+    while frontier:
+        frontier = [w for v in frontier for w in adjacency[v] if w not in reached]
+        reached.update(frontier)
+    spanning = inside and len(pairs) == hi - lo - 1 and len(reached) == hi - lo
+    assert (BlockTree(s, tuple((a, b, 0) for a, b in pairs)).problems() == []) == spanning
 
 
 def test_tree_guard():
@@ -407,6 +490,8 @@ def test_seeded_requests_follow_mix(seed):
     request, tri = random_request(seed), random_tri_request(seed)
     points = [(0, 2), (3, 16), (5, 1 << 70), (64, 1 << 130), (70, 1 << 200),
               (3, (1 << 128) + 8), (64, 3 << 128), (5, 1 << 6)]
+    # around the largest w that one splitmix round absorbs
+    points += [(n, (1 << 64) + d) for n in (0, 5, 63) for d in (-1, 0, 1)]
     points += points[::2]
     random.Random(seed).shuffle(points)
     for n, w in points:
