@@ -5,6 +5,11 @@ apartness extract, verify.  Exit codes: 0 success/verified, 1 a claimed
 property failed to verify or a witness search came up empty, 2 usage,
 configuration or guard errors, or memory run out.  search-mono exits 0
 whether it finds a set or exhausts its bound; the report records which.
+
+argv's leading words name a command, and that command's own parser reads
+the rest.  The root and group parsers only hand the rest on unchanged, so
+the result is the full parser's; argv naming no command, or a command
+leaving arguments unread, goes to the full parser for its exact errors.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import functools
 import re
 import sys
+from typing import Optional
 
 from . import harness
 from .errors import FixtureError, GuardError, VerificationError, WitnessSearchError
@@ -49,19 +55,31 @@ def _config(args, catalog) -> dict:
     return harness.default_config(catalog, getattr(args, "variant", "instant"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The full parser.  leaves, if given, gets each command's parser under
+    the words naming it, e.g. ("pi3", "witness"), with the attributes they set."""
     parser = argparse.ArgumentParser(
         prog="fscoloring",
         description="recursive colorings of positive integers and their witness harness",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def command(*words, help, sub=commands):
+        leaf = sub.add_parser(words[-1], help=help)
+        if leaves is not None:
+            leaves[words] = leaf, dict(zip(("command", "%s_command" % words[0]), words))
+        return leaf
+
+    def group(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(
+            dest="%s_command" % name, required=True)
+
     coloring_ids = (
         "popcount", "tree-default", "tree-random", "killer",
         "delta3", "pi3", "delta3-product", "pi3-product",
     )
 
-    p_eval = commands.add_parser("eval", help="print coloring values over a range")
+    p_eval = command("eval", help="print coloring values over a range")
     p_eval.add_argument("--coloring", choices=coloring_ids, required=True)
     p_eval.add_argument("--start", type=int, default=1)
     p_eval.add_argument("--end", type=int, required=True)
@@ -71,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--variant", default="instant")
     p_eval.add_argument("--out")
 
-    p_tree = commands.add_parser("tree", help="request-tree checks")
-    tree_sub = p_tree.add_subparsers(dest="tree_command", required=True)
-    p_tree_check = tree_sub.add_parser("check", help="validate structure and contract")
+    p_tree_check = command("tree", "check", help="validate structure and contract",
+                           sub=group("tree", "request-tree checks"))
     p_tree_check.add_argument("--max-exponent", type=int, default=8)
     p_tree_check.add_argument("--functions", type=int, default=20)
     p_tree_check.add_argument("--seed", type=int, default=7)
@@ -82,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree_check.add_argument("--out")
     _add_guard_flags(p_tree_check, "tree_exponent")
 
-    p_search = commands.add_parser("search-mono", help="exhaustive monochromatic-set search")
+    p_search = command("search-mono", help="exhaustive monochromatic-set search")
     p_search.add_argument("--coloring", choices=coloring_ids, required=True)
     p_search.add_argument("--max-terms", type=int, default=None)
     p_search.add_argument("--bound", type=int, required=True)
@@ -99,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pi3": ("request_exponent", "chain_bits", "horizon"),
     }
     for name, guard_names in witness_guards.items():
-        p_group = commands.add_parser(name, help="%s construction runs" % name)
-        sub = p_group.add_subparsers(dest="%s_command" % name, required=True)
-        p_witness = sub.add_parser("witness", help="find and verify a fixture kill")
+        p_witness = command(name, "witness", help="find and verify a fixture kill",
+                            sub=group(name, "%s construction runs" % name))
         p_witness.add_argument("--index", type=int, required=True)
         p_witness.add_argument("--config")
         p_witness.add_argument("--variant", default="instant")
@@ -111,16 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
         p_witness.add_argument("--out")
         _add_guard_flags(p_witness, *guard_names)
 
-    p_apart = commands.add_parser("apartness", help="apartness extraction")
-    apart_sub = p_apart.add_subparsers(dest="apartness_command", required=True)
-    p_extract = apart_sub.add_parser("extract", help="thin a stream to an apart sequence")
+    p_extract = command("apartness", "extract", help="thin a stream to an apart sequence",
+                        sub=group("apartness", "apartness extraction"))
     p_extract.add_argument("--stream", default="naturals",
                            help="'naturals' or 'arith:START:STEP'")
     p_extract.add_argument("--count", type=int, default=10)
     p_extract.add_argument("--out")
     _add_guard_flags(p_extract, "extract_bits")
 
-    p_verify = commands.add_parser("verify", help="recompute every claim in a report file")
+    p_verify = command("verify", help="recompute every claim in a report file")
     p_verify.add_argument("report")
     _add_guard_flags(p_verify, "tree_exponent", "chain_bits", "search_combinations",
                      "extract_bits")
@@ -128,14 +143,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per process: parse_args leaves the parser as it found it.
-_parser = functools.lru_cache(maxsize=1)(build_parser)
+@functools.lru_cache(maxsize=1)
+def _parsers() -> tuple:
+    """The full parser and its leaves, built once per process: parse_args
+    leaves a parser as it found it."""
+    leaves = {}
+    return build_parser(leaves), leaves
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed exactly as the full parser parses it.  Where argv's
+    leading words name a command, that command's parser parses the rest."""
+    parser, leaves = _parsers()
+    for depth in (1, 2):
+        if (found := leaves.get(tuple(argv[:depth]))) is not None:
+            leaf, dests = found
+            args, extras = leaf.parse_known_args(argv[depth:], argparse.Namespace(**dests))
+            if not extras:
+                return args
+    return parser.parse_args(argv)
 
 
 def _stream_spec(text: str) -> dict:
     if text == "naturals":
         return {"kind": "naturals"}
-    arithmetic = re.fullmatch(r"arith:([+-]?\d+):([+-]?\d+)", text)
+    arithmetic = re.fullmatch(r"arith:(-?[0-9]+):(-?[0-9]+)", text)
     if arithmetic:
         return {"kind": "arithmetic", "start": arithmetic[1], "step": arithmetic[2]}
     raise FixtureError(
@@ -147,9 +179,8 @@ def _run(args) -> int:
     guards = _guards(args)
     if args.command == "eval":
         payload = harness.eval_table(_coloring_spec(args), args.start, args.end, out=args.out)
-        print("# coloring=%s arity=%s" % (args.coloring, payload["arity"]))
-        for entry in payload["values"]:
-            print("%s\t%s" % (entry["w"], ",".join(entry["color"])))
+        print("\n".join(["# coloring=%s arity=%s" % (args.coloring, payload["arity"])] + [
+            "%s\t%s" % (entry["w"], ",".join(entry["color"])) for entry in payload["values"]]))
         return 0
 
     if args.command == "tree":
@@ -218,7 +249,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _run(args)
     except (GuardError, FixtureError, ValueError, OSError) as failure:

@@ -27,7 +27,6 @@ block's members and its least non-member.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
@@ -39,12 +38,11 @@ from .errors import FixtureError
 # ---------------------------------------------------------------------------
 # Decimal fields
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _decimal(value, name: str) -> int:
-    """An integer field of a config or report, which must be a decimal string."""
-    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
+    """An integer field of a config or report, which must be a decimal
+    string, as -?[0-9]+ matches: "+", spaces, "_" and non-ASCII digits,
+    which int() takes, are refused with FixtureError."""
+    if not (isinstance(value, str) and value.removeprefix("-").isdecimal() and value.isascii()):
         raise FixtureError("field %s is not a decimal string: %.40r" % (name, value))
     return int(value)
 

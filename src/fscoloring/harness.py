@@ -222,9 +222,9 @@ def render_report(payload) -> str:
 def _render(value, newline: str, out: list) -> None:
     """Append value to out as json.dumps(value, indent=2, sort_keys=True)
     renders it, each line break followed by newline's indent.  Lists and
-    dicts with str keys are walked here; any other dict goes through
-    json.dumps and is re-indented (its strings hold no raw line break),
-    and a scalar through json.dumps without indent."""
+    dicts with str keys are walked here, a str item written in place; any
+    other dict goes through json.dumps and is re-indented (its strings hold
+    no raw line break), and a scalar through json.dumps without indent."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, (list, tuple)):
@@ -235,7 +235,10 @@ def _render(value, newline: str, out: list) -> None:
         opener = "["
         for item in value:
             out.append(opener + inner)
-            _render(item, inner, out)
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _render(item, inner, out)
             opener = ","
         out.append(newline + "]")
     elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
@@ -246,7 +249,10 @@ def _render(value, newline: str, out: list) -> None:
         opener = "{"
         for key in sorted(value):
             out.append(opener + inner + _quote(key) + ": ")
-            _render(value[key], inner, out)
+            if type(value[key]) is str:
+                out.append(_quote(value[key]))
+            else:
+                _render(value[key], inner, out)
             opener = ","
         out.append(newline + "}")
     elif isinstance(value, dict):
@@ -407,7 +413,8 @@ def run_extraction(stream_spec: dict, count: int, *, guards: Guards = Guards(),
         raise FixtureError("the extraction count must be nonnegative, got %d" % count)
     progression = _progression(stream_spec)
     if progression is None:
-        elements = iter([int(x) for x in stream_spec["elements"]])
+        elements = iter([_stream_int(x, "stream.elements[%d]" % j)
+                         for j, x in enumerate(stream_spec["elements"])])
         certificates = apartness.extract_apart(elements, guards.extract_bits)
     else:
         certificates = apartness.extract_progression(*progression, guards.extract_bits)
@@ -449,9 +456,7 @@ def _extraction_inputs(payload) -> tuple:
         scalars += stream["elements"]
     if not all(isinstance(value, (str, int)) for value in scalars):
         raise VerificationError("stream fields must be strings or integers")
-    if not (isinstance(count, str) and count.isdecimal()):
-        raise VerificationError("the extraction count must be a decimal string")
-    return stream, int(count)
+    return stream, _decimal(count, "count")  # run_extraction refuses a negative count
 
 
 def _progression(spec: dict) -> Optional[tuple]:
@@ -461,13 +466,18 @@ def _progression(spec: dict) -> Optional[tuple]:
     if kind == "naturals":
         return 1, 1
     if kind == "arithmetic":
-        start, step = int(spec.get("start", "1")), int(spec.get("step", "1"))
+        start, step = (_stream_int(spec.get(k, "1"), "stream." + k) for k in ("start", "step"))
         if start < 1 or step < 1:
             raise FixtureError("arithmetic streams need positive start and step")
         return start, step
     if kind == "explicit":
         return None
     raise FixtureError("unknown stream kind %r" % (kind,))
+
+
+def _stream_int(value, name: str) -> int:
+    """A stream field: a JSON integer or a decimal string."""
+    return _decimal(value, name) if isinstance(value, str) else int(value)
 
 
 def eval_table(coloring_spec: dict, start: int, end: int, *,

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -458,3 +459,34 @@ def test_weak_apart_on_outside_catalog(index):
     for family in (Delta3Family(sets), MonotoneFamily(sets)):
         assert family.weak_apart_on(1, 24) == (False, (4, 5))
         assert family.weak_apart_on(index, 24) == (True, None)
+
+
+DECIMAL_EDGES = ["0", "-0", "007", "-12", "", "-", "--1", "+1", " 1", "1 ", "1\n", "1_0",
+                 "²", "٣", "５", "-٣", "1.0", "0x1", "١٢"]
+
+
+def check_decimal(text):
+    # the one decimal reader takes exactly what -?[0-9]+ fullmatches
+    if re.fullmatch(r"-?[0-9]+", text):
+        assert families._decimal(text, "f") == int(text)
+    else:
+        with pytest.raises(FixtureError) as refusal:
+            families._decimal(text, "f")
+        assert str(refusal.value) == "field f is not a decimal string: %.40r" % (text,)
+
+
+@pytest.mark.parametrize("text", DECIMAL_EDGES)
+def test_decimal_edges(text):
+    check_decimal(text)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="-+ _0123456789\n²٣５", max_size=6) | st.text(max_size=6))
+def test_decimal_matches_regex_oracle(text):
+    check_decimal(text)
+
+
+@pytest.mark.parametrize("value", [5, -1, None, True, 1.0, b"1", ["1"], {"1": 1}])
+def test_decimal_refuses_non_strings(value):
+    with pytest.raises(FixtureError, match=r"^field f is not a decimal string: "):
+        families._decimal(value, "f")

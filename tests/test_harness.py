@@ -293,6 +293,13 @@ JSON_VALUES = st.recursive(
 )
 
 
+class Label(str):
+    """A str subclass, which render_report must quote as json.dumps does."""
+
+    def __str__(self):
+        return "not this"
+
+
 class TestReportWriter:
     @settings(max_examples=200, deadline=None)
     @given(JSON_VALUES)
@@ -303,6 +310,9 @@ class TestReportWriter:
         {}, [], {"a": [], "b": {}}, [[[]]], "\u00e9\n\"\\\t\u2028\U0001f600",
         [float("nan"), float("inf"), -float("inf"), 1e300, -0.0], {3: {"k": (1, "x")}},
         {"": None, "\x00": True, "z": False},
+        # str leaves are written in place; a str subclass, and a tuple of str
+        [Label("a\u00e9"), "b"], {"k": Label("\n"), "j": ["x"]}, ("a", "b"),
+        {"t": ("x", Label("y"))},
     ])
     def test_render_edge_cases(self, payload):
         assert harness.render_report(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -694,6 +704,11 @@ class TestMalformedInput:
         (["--stream", "arith:a:3"], "unknown stream 'arith:a:3': expected 'naturals' or "
                                     "'arith:START:STEP' with integer START and STEP"),
         (["--count", "-1"], "the extraction count must be nonnegative, got -1"),
+        # START and STEP are ASCII digits after at most a "-"
+        (["--stream", "arith:\u0661:3"], "unknown stream 'arith:\u0661:3': expected 'naturals' "
+                                         "or 'arith:START:STEP' with integer START and STEP"),
+        (["--stream", "arith:+1:3"], "unknown stream 'arith:+1:3': expected 'naturals' or "
+                                     "'arith:START:STEP' with integer START and STEP"),
     ])
     def test_extraction_input_errors(self, argv, message, capsys):
         assert cli.main(["apartness", "extract", *argv]) == 2
@@ -816,6 +831,33 @@ def test_verify_mutated_extraction_report(field, value, tmp_path, capsys):
         assert lines[0] == "unknown report kind 'x'"
     else:
         assert lines[0].startswith("verification failed: ")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("count",), "\u0663", "field count is not a decimal string: '\u0663'"),
+    (("count",), "-1", "the extraction count must be nonnegative, got -1"),
+    (("stream", "start"), " 1 ", "field stream.start is not a decimal string: ' 1 '"),
+    (("stream", "start"), "+1", "field stream.start is not a decimal string: '+1'"),
+    (("stream", "start"), "\u0661", "field stream.start is not a decimal string: '\u0661'"),
+    (("stream", "step"), "0_3", "field stream.step is not a decimal string: '0_3'"),
+])
+def test_verify_reads_extraction_integers_as_decimals(path, value, message, tmp_path, capsys):
+    # int() takes each of these, and verify once re-ran the extraction on it
+    assert cli.main(["apartness", "extract", "--stream", "arith:1:3", "--count", "3",
+                     "--out", str(tmp_path / "extraction.json")]) == 0
+    payload = json.loads((tmp_path / "extraction.json").read_text())
+    functools.reduce(dict.get, path[:-1], payload)[path[-1]] = value
+    (tmp_path / "extraction.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "extraction.json")]) == 1
+    assert capsys.readouterr() == (
+        "verification failed: %s\nVERIFICATION FAILED\n" % message, "")
+
+
+def test_explicit_stream_elements_are_decimals():
+    assert harness.run_extraction({"kind": "explicit", "elements": [1, "2"]}, 2)["count"] == "2"
+    with pytest.raises(FixtureError, match=r"^field stream.elements\[1\] is not a decimal string"):
+        harness.run_extraction({"kind": "explicit", "elements": ["1", "\uff12"]}, 2)
 
 
 @functools.lru_cache(maxsize=None)
