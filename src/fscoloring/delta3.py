@@ -168,11 +168,13 @@ class Delta3Witness:
         return {"sum": (self.w1, self.w2), "sum_with_x": tuple(sorted((self.x, self.w1, self.w2)))}
 
 
-def verify_witness(family: Delta3Family, witness: Delta3Witness) -> None:
+def verify_witness(family: Delta3Family, witness: Delta3Witness) -> TreeColoring:
     """Recompute every claim in a witness from scratch.
 
     Every function here is pure in the family, so nothing computed by the
     search is reused; raises VerificationError on the first disagreement.
+    Returns the coloring it built, which has just colored both sums and
+    which a product kill colors them with again.
     """
     x, w1, w2 = witness.x, witness.w1, witness.w2
     for value in (x, w1, w2):
@@ -192,6 +194,7 @@ def verify_witness(family: Delta3Family, witness: Delta3Witness) -> None:
     sums = finite_sums(sorted((x, w1, w2)), 3)
     if w not in sums or w + x not in sums:
         raise VerificationError("claimed sums are not 3-term finite sums of the witness")
+    return color
 
 
 def find_witness(family: Delta3Family, i: int, *, mode: str = "oracle",
@@ -204,15 +207,21 @@ def find_witness(family: Delta3Family, i: int, *, mode: str = "oracle",
     then w2 beyond the induced stage bound, and read x off the request
     function.  Blind mode enumerates member pairs up to the value bound
     and tests directly; exhaustion raises, it never silently succeeds.
+    The witness is re-verified with a coloring of its own, never the
+    search's, before being returned.
     """
+    return _find_verified(family, i, mode, bound, horizon)[0]
+
+
+def _find_verified(family, i, mode, bound, horizon):
+    """find_witness's witness and the coloring its verify built and returned."""
     if mode == "oracle":
         witness = _oracle_witness(family, i, horizon)
     elif mode == "blind":
         witness = _blind_witness(family, i, bound)
     else:
         raise ValueError("mode must be 'oracle' or 'blind', got %r" % (mode,))
-    verify_witness(family, witness)
-    return witness
+    return witness, verify_witness(family, witness)
 
 
 def _oracle_witness(family, i, horizon):

@@ -73,23 +73,23 @@ def build_coloring(spec: dict):
         return apartness.weak_apartness_killer, 2
     if kind in ("delta3", "delta3-product", "pi3", "pi3-product"):
         catalog, _, product = kind.partition("-")
-        family = _catalog_family(spec["config"], catalog)
-        coloring = _construction_coloring(family, product=bool(product),
-                                          chain_bits=Guards.chain_bits)
-        return coloring, 3 if product else 1
+        coloring = _construction_coloring(_catalog_family(spec["config"], catalog),
+                                          Guards.chain_bits)
+        return (_with_pair_coloring(coloring), 3) if product else (coloring, 1)
     raise FixtureError("unknown coloring id %r" % (kind,))
 
 
-def _construction_coloring(family, *, product: bool, chain_bits: int):
-    """The family's construction coloring, alone or in product with the
-    pair coloring; pi3 colorings serve requests up to chain_bits."""
+def _construction_coloring(family, chain_bits: int):
+    """The family's construction coloring; pi3 colorings serve requests up
+    to chain_bits."""
     if isinstance(family, Delta3Family):
-        base = delta3.coloring(family)
-    else:
-        base = pi3.coloring(family, chain_bits)
-    if product:
-        return apartness.product([base, apartness.weak_apartness_killer])
-    return base
+        return delta3.coloring(family)
+    return pi3.coloring(family, chain_bits)
+
+
+def _with_pair_coloring(base):
+    """The product of a construction coloring and the pair coloring."""
+    return apartness.product([base, apartness.weak_apartness_killer])
 
 
 def color_tuple(value) -> tuple:
@@ -315,12 +315,12 @@ def _check_family(family, index: int) -> None:
 
 
 def _find_witness(family, index: int, mode: str, guards: Guards):
-    """Find and verify the construction's witness against a fixture."""
+    """Find and verify the construction's witness against a fixture; returns
+    the witness and the coloring its verify built, which no search shared."""
     if isinstance(family, Delta3Family):
-        return delta3.find_witness(family, index, mode=mode, bound=guards.blind_bound,
-                                   horizon=guards.horizon)
-    return pi3.find_witness(family, index, mode=mode, max_request_exponent=guards.request_exponent,
-                            chain_bits=guards.chain_bits, horizon=guards.horizon)
+        return delta3._find_verified(family, index, mode, guards.blind_bound, guards.horizon)
+    return pi3._find_verified(family, index, mode, guards.request_exponent, guards.chain_bits,
+                              guards.horizon)
 
 
 def _witness_payload(catalog: str, config: dict, witness) -> dict:
@@ -353,7 +353,7 @@ def run_pi3(config: dict, index: int, *, mode: str = "oracle",
 def _run_witness(catalog, config, index, mode, guards, out) -> dict:
     family = _catalog_family(config, catalog)
     _check_family(family, index)
-    witness = _find_witness(family, index, mode, guards)
+    witness, _coloring = _find_witness(family, index, mode, guards)
     return _written(_witness_payload(catalog, config, witness), out)
 
 
@@ -361,16 +361,22 @@ def run_product_kill(config: dict, index: int, *, mode: str = "oracle",
                      guards: Guards = Guards(), out: Optional[str] = None) -> dict:
     """Kill a fixture under the product of construction and pair colorings.
 
-    Weakly apart fixtures are killed through the construction component;
-    fixtures failing weak apartness through the bit-parity components.
+    Weakly apart fixtures are killed through the construction component,
+    which is the coloring the witness's verify built; fixtures failing
+    weak apartness through the bit-parity components, beside a
+    construction coloring of their own.
     """
     family = build_family(config)
     _check_family(family, index)
     ok, certificate = family.weak_apart_on(index, guards.horizon)
-    witness = _find_witness(family, index, mode, guards) if ok else None
-    u_terms, v_terms = witness.certificates().values() if ok else _killer_terms(certificate)
+    if ok:
+        witness, base = _find_witness(family, index, mode, guards)
+        u_terms, v_terms = witness.certificates().values()
+    else:
+        u_terms, v_terms = _killer_terms(certificate)
+        base = _construction_coloring(family, guards.chain_bits)
     u, v = sum(u_terms), sum(v_terms)
-    prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
+    prod = _with_pair_coloring(base)
     cu, cv = prod(u), prod(v)
     if cu == cv:
         raise VerificationError("product colors of %d and %d agree" % (u, v))
@@ -454,7 +460,7 @@ def _extraction_inputs(payload) -> tuple:
         if not isinstance(stream.get("elements"), list):
             raise VerificationError("explicit stream elements must be a list")
         scalars += stream["elements"]
-    if not all(isinstance(value, (str, int)) for value in scalars):
+    if not all(type(value) in (str, int) for value in scalars):  # a bool is no integer
         raise VerificationError("stream fields must be strings or integers")
     return stream, _decimal(count, "count")  # run_extraction refuses a negative count
 
@@ -476,8 +482,8 @@ def _progression(spec: dict) -> Optional[tuple]:
 
 
 def _stream_int(value, name: str) -> int:
-    """A stream field: a JSON integer or a decimal string."""
-    return _decimal(value, name) if isinstance(value, str) else int(value)
+    """A stream field: a JSON integer (not a boolean) or a decimal string."""
+    return value if type(value) is int else _decimal(value, name)
 
 
 def eval_table(coloring_spec: dict, start: int, end: int, *,
@@ -584,13 +590,18 @@ def tree_check_report(max_exponent: int, functions: int, seed: int, moduli,
 # Verification of report files
 
 
+# What a verifier raises for a claim that fails or a field it cannot read.
+_FAILURES = (VerificationError, FixtureError, WitnessSearchError, GuardError, KeyError, ValueError)
+
+
 def verify_report(payload: dict, guards: Guards = Guards()):
     """Recompute every claim in a report; returns (ok, detail lines)."""
     kind = payload.get("report") if isinstance(payload, dict) else None
     if not isinstance(kind, str):
         return False, ["verification failed: a report is an object with a string kind"]
     verifier = {
-        **{catalog + "-witness": _verify_witness for catalog in _CONSTRUCTIONS},
+        **{catalog + "-witness": lambda p, g: _verify_witness(p, g)[0]
+           for catalog in _CONSTRUCTIONS},
         "product-kill": _verify_product_kill,
         **dict.fromkeys(_RERUNS, _verify_rerun),
     }.get(kind)
@@ -598,8 +609,7 @@ def verify_report(payload: dict, guards: Guards = Guards()):
         return False, ["unknown report kind %r" % (kind,)]
     try:
         details = verifier(payload, guards)
-    except (VerificationError, FixtureError, WitnessSearchError, GuardError,
-            KeyError, ValueError) as failure:
+    except _FAILURES as failure:
         return False, ["verification failed: %s" % failure]
     return True, details
 
@@ -608,6 +618,13 @@ def _object(value, name: str) -> dict:
     """A JSON object field of a report."""
     if not isinstance(value, dict):
         raise VerificationError("field %s is not a JSON object: %.40r" % (name, value))
+    return value
+
+
+def _boolean(value, name: str) -> bool:
+    """A JSON boolean field of a report (1 and 0 are not booleans)."""
+    if type(value) is not bool:
+        raise VerificationError("field %s is not a JSON boolean: %.40r" % (name, value))
     return value
 
 
@@ -622,12 +639,15 @@ def _mode(value, name: str) -> str:
 _FIELD_READERS = {"int": _decimal, "tuple": _decimals, "str": _mode}
 
 
-def _verify_witness(payload, guards):
+def _verify_witness(payload, guards, family=None):
     """Rebuild a witness from its report, each field read by the annotation
-    the witness dataclass gives it, and recompute every claim in it."""
+    the witness dataclass gives it, and recompute every claim in it.
+    family is the report config's, when the caller has built it.  Returns
+    the detail lines and the coloring the construction's verify built."""
     catalog = payload["report"].removesuffix("-witness")
     _family_type, witness_type, _claim, derived = _CONSTRUCTIONS[catalog]
-    family = _catalog_family(payload["config"], catalog)
+    if family is None:
+        family = _catalog_family(payload["config"], catalog)
     witness = witness_type(**{
         f.name: reader(payload[f.name], f.name) for f in fields(witness_type)
         if (reader := _FIELD_READERS.get(getattr(f.type, "__name__", f.type)))
@@ -638,10 +658,11 @@ def _verify_witness(payload, guards):
     _check_certificates(payload, family, witness.index,
                         {key: getattr(witness, key) for key in witness.certificates()})
     if catalog == "delta3":
-        delta3.verify_witness(family, witness)
-        return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)]
-    pi3.verify_witness(family, witness, chain_bits=guards.chain_bits)
-    return ["witness (n=%d, x=%d, w=%d) re-verified" % (witness.block_exponent, witness.x, witness.w)]
+        color = delta3.verify_witness(family, witness)
+        return ["witness (%d, %d, %d) re-verified" % (witness.x, witness.w1, witness.w2)], color
+    color = pi3.verify_witness(family, witness, chain_bits=guards.chain_bits)
+    return ["witness (n=%d, x=%d, w=%d) re-verified"
+            % (witness.block_exponent, witness.x, witness.w)], color
 
 
 def _check_certificates(payload, family, index, totals) -> None:
@@ -660,28 +681,35 @@ def _check_certificates(payload, family, index, totals) -> None:
 
 
 def _verify_product_kill(payload, guards):
+    """Check the certificates, then the embedded witness with the family
+    built once from the config, then the product colors of u and v: a
+    construction kill's come from the coloring its witness's verify built,
+    a killer kill builds its own.  The branch is checked last."""
     family = build_family(payload["config"])
     index, u, v = (_decimal(payload[key], key) for key in ("index", "u", "v"))
-    prod = _construction_coloring(family, product=True, chain_bits=guards.chain_bits)
+    _check_certificates(payload, family, index, {"u": u, "v": v})
+    embedded = "witness" in payload
+    inner = []
+    if embedded:
+        _check_embedded_witness(payload, index)
+        try:
+            inner, base = _verify_witness(payload["witness"], guards, family)
+        except _FAILURES as failure:
+            raise VerificationError(
+                "embedded witness failed: verification failed: %s" % failure) from None
+    else:
+        base = _construction_coloring(family, guards.chain_bits)
+    prod = _with_pair_coloring(base)
     cu, cv = prod(u), prod(v)
     if [str(c) for c in cu] != payload["color_u"] or [str(c) for c in cv] != payload["color_v"]:
         raise VerificationError("recomputed product colors differ from report")
     if cu == cv:
         raise VerificationError("product colors agree")
-    _check_certificates(payload, family, index, {"u": u, "v": v})
-    embedded = "witness" in payload
     branch = "construction" if embedded else "killer"
     if payload["branch"] != branch:
         raise VerificationError("field branch is %.40r, but a kill %s an embedded witness is a %s kill"
                                 % (payload["branch"], "with" if embedded else "without", branch))
-    details = ["product kill of fixture %d via %s branch re-verified" % (index, branch)]
-    if embedded:
-        _check_embedded_witness(payload, index)
-        ok, inner = verify_report(payload["witness"], guards)
-        if not ok:
-            raise VerificationError("embedded witness failed: %s" % "; ".join(inner))
-        details += inner
-    return details
+    return ["product kill of fixture %d via %s branch re-verified" % (index, branch)] + inner
 
 
 def _check_embedded_witness(payload, index) -> None:
@@ -695,7 +723,8 @@ def _check_embedded_witness(payload, index) -> None:
         raise VerificationError("the embedded witness is not of fixture %d" % index)
     certificates = _object(witness.get("certificates"), "witness.certificates")
     terms = [_decimals(values, "witness.certificates") for values in certificates.values()]
-    if terms != [_decimals(payload["certificates"][key], "certificates.%s" % key) for key in "uv"]:
+    kill = _object(payload["certificates"], "certificates")
+    if terms != [_decimals(kill[key], "certificates.%s" % key) for key in "uv"]:
         raise VerificationError("the embedded witness's certificates are not the kill's u and v")
 
 
@@ -729,9 +758,8 @@ def _rerun_eval(payload, guards):
 
 
 def _rerun_tree_check(payload, guards):
-    contract = payload["contract"]
-    if not isinstance(contract, bool):
-        raise VerificationError("field contract is not a JSON boolean: %.40r" % (contract,))
+    contract = _boolean(payload["contract"], "contract")
+    _boolean(payload.get("ok"), "ok")  # compared with the re-run's by !=, where 1 == True
     return tree_check_report(
         *(_decimal(payload[key], key) for key in ("max_exponent", "functions", "seed")),
         _decimals(payload["moduli"], "moduli"), contract=contract, guards=guards,

@@ -16,8 +16,10 @@ Each run builds one Pi3Engine, which holds the construction's memos:
 the staged index table, the stable indices, and one lifted guess request
 per exponent n, whose factored core keeps its base-increment tables
 (treecolor.TriRequestFunction).  Recomputation yields identical values,
-so the memos are observationally pure; they live as long as the engine,
-and every verify builds a fresh one.  One priority recurrence
+so the memos are observationally pure; they live as long as the engine.
+Every verify builds a fresh one and never reads a search's engine; it
+hands back its engine's coloring, with which a product kill colors its
+two sums.  One priority recurrence
 (_priority) fills the first two, read at finite stages through block
 minima (mins of the family's evaluate) and in the limit through block
 members; check_stage_settling compares the two readings.
@@ -440,8 +442,14 @@ def find_witness(family, i, *, mode="oracle",
     values over suffix sums, picks the sum requested at the unique block
     member, and separates its color from the sum plus that member.  The
     chain, the spread and the coloring share one engine; the result is
-    re-verified from a fresh engine before being returned.
+    re-verified from a fresh engine, never the search's, before being
+    returned.
     """
+    return _find_verified(family, i, mode, max_request_exponent, chain_bits, horizon)[0]
+
+
+def _find_verified(family, i, mode, max_request_exponent, chain_bits, horizon):
+    """find_witness's witness and the coloring its verify built and returned."""
     engine = Pi3Engine(family, chain_bits)
     ok, certificate = family.weak_apart_on(i, min(horizon, chain_bits))
     if not ok:
@@ -474,12 +482,13 @@ def find_witness(family, i, *, mode="oracle",
         mode=mode,
         bookkeeping={"final_stage": spread.chain.final_stage},
     )
-    verify_witness(family, witness, chain_bits=chain_bits)
-    return witness
+    return witness, verify_witness(family, witness, chain_bits=chain_bits)
 
 
-def verify_witness(family, witness: Pi3Witness, *, chain_bits=Guards.chain_bits) -> None:
-    """Recompute every claim in a witness from a fresh engine."""
+def verify_witness(family, witness: Pi3Witness, *, chain_bits=Guards.chain_bits) -> TreeColoring:
+    """Recompute every claim in a witness from a fresh engine, never a
+    search's, and return that engine's coloring, which has just colored w
+    and w + x and which a product kill colors them with again."""
     engine = Pi3Engine(family, chain_bits)
     i, n = witness.index, witness.block_exponent
     # Check the spread's shape before any work that grows with 2**n.
@@ -520,3 +529,4 @@ def verify_witness(family, witness: Pi3Witness, *, chain_bits=Guards.chain_bits)
         raise VerificationError("recomputed colors (%d, %d) differ from report" % (c1, c2))
     if c1 == c2:
         raise VerificationError("colors of %d and %d agree" % (witness.w, witness.w + witness.x))
+    return color

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fscoloring import cli, harness
+from fscoloring import cli, delta3, harness, pi3
 from fscoloring.apartness import weak_apartness_killer
 from fscoloring.dyadic import finite_sums, has_weak_apartness
-from fscoloring.errors import FixtureError, GuardError
+from fscoloring.errors import FixtureError, GuardError, VerificationError
 from fscoloring.families import Delta3Family, MonotoneFamily
 from fscoloring.treecolor import RequestFunction, popcount_coloring
 
@@ -382,6 +382,48 @@ class TestProductKill:
         assert payload["color_u"][1:] != payload["color_v"][1:]
         ok, details = harness.verify_report(payload)
         assert ok, details
+
+
+def _count_constructions(monkeypatch):
+    """A counter of the construction colorings built from now on, by
+    catalog: pi3 engines and delta3 colorings."""
+    counts = {"delta3": 0, "pi3": 0}
+    engine_init, delta3_coloring = pi3.Pi3Engine.__init__, delta3.coloring
+
+    def counted_init(self, *args, **kwargs):
+        counts["pi3"] += 1
+        engine_init(self, *args, **kwargs)
+
+    def counted_coloring(*args, **kwargs):
+        counts["delta3"] += 1
+        return delta3_coloring(*args, **kwargs)
+
+    monkeypatch.setattr(pi3.Pi3Engine, "__init__", counted_init)
+    monkeypatch.setattr(delta3, "coloring", counted_coloring)
+    return counts
+
+
+@pytest.mark.parametrize("catalog", ["delta3", "pi3"])
+@pytest.mark.parametrize("argv, built", [
+    (["--index", "0"], (2, 1)),
+    (["--index", "0", "--blind"], (2, 1)),
+    (["--index", "0", "--product"], (2, 1)),
+    (["--index", "0", "--product", "--blind"], (2, 1)),
+    (["--index", "2", "--product"], (1, 1)),  # the killer branch builds its own
+], ids=["witness", "blind-witness", "kill", "blind-kill", "killer-kill"])
+def test_constructions_per_command(catalog, argv, built, monkeypatch, tmp_path, capsys):
+    # a witness run builds one construction for its search and one for its
+    # verify; a product kill colors u and v with the verify's, and the
+    # verify of a kill colors them with its embedded witness's verify's
+    counts = _count_constructions(monkeypatch)
+    report = str(tmp_path / "report.json")
+    assert cli.main([catalog, "witness", *argv, "--out", report]) == 0
+    run = dict(counts)
+    counts[catalog] = 0
+    assert cli.main(["verify", report]) == 0
+    assert capsys.readouterr().out.endswith("\nVERIFIED\n")
+    other = "pi3" if catalog == "delta3" else "delta3"
+    assert (run[catalog], counts[catalog], run[other] + counts[other]) == (*built, 0)
 
 
 class TestColoringSpecs:
@@ -840,6 +882,10 @@ def test_verify_mutated_extraction_report(field, value, tmp_path, capsys):
     (("stream", "start"), "+1", "field stream.start is not a decimal string: '+1'"),
     (("stream", "start"), "\u0661", "field stream.start is not a decimal string: '\u0661'"),
     (("stream", "step"), "0_3", "field stream.step is not a decimal string: '0_3'"),
+    # a JSON boolean is no integer, though int() takes it too
+    (("stream", "start"), True, "stream fields must be strings or integers"),
+    (("stream", "step"), True, "stream fields must be strings or integers"),
+    (("stream", "start"), False, "stream fields must be strings or integers"),
 ])
 def test_verify_reads_extraction_integers_as_decimals(path, value, message, tmp_path, capsys):
     # int() takes each of these, and verify once re-ran the extraction on it
@@ -852,6 +898,19 @@ def test_verify_reads_extraction_integers_as_decimals(path, value, message, tmp_
     assert cli.main(["verify", str(tmp_path / "extraction.json")]) == 1
     assert capsys.readouterr() == (
         "verification failed: %s\nVERIFICATION FAILED\n" % message, "")
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"kind": "arithmetic", "start": True, "step": "3"}, "stream.start"),
+    ({"kind": "arithmetic", "start": "1", "step": False}, "stream.step"),
+    ({"kind": "explicit", "elements": ["1", True]}, r"stream.elements\[1\]"),
+], ids=["start", "step", "element"])
+def test_extraction_refuses_boolean_stream_integers(spec, name):
+    # a JSON integer is still read as itself, but a boolean is no integer
+    assert harness.run_extraction({"kind": "arithmetic", "start": 1, "step": 3}, 2)["outputs"][1][
+        "value"] == "4"
+    with pytest.raises(FixtureError, match=r"^field %s is not a decimal string: (True|False)$" % name):
+        harness.run_extraction(spec, 1)
 
 
 def test_explicit_stream_elements_are_decimals():
@@ -958,6 +1017,7 @@ def test_verify_mutated_nested_field(kind, path, tmp_path, capsys):
     ("product-kill", "witness", "deleted", "branch"),  # construction kill without its witness
     ("tree-check", "contract", "x", "contract"),
     ("tree-check", "contract", None, "contract"),
+    ("tree-check", "ok", 1, "ok"),  # 1 == True, so the re-run's ok compared equal
 ])
 def test_verify_reads_mode_branch_and_contract(kind, field, value, named, tmp_path, capsys):
     # each of these reports used to verify; verify now refuses each with one
@@ -1001,6 +1061,43 @@ def test_verify_ties_embedded_witness_to_kill(tamper, message, tmp_path, capsys)
     report.write_text(json.dumps(payload))
     assert cli.main(["verify", str(report)]) == 1
     assert capsys.readouterr() == ("verification failed: %s\nVERIFICATION FAILED\n" % message, "")
+
+
+def _flip_embedded_color(payload):
+    witness = payload["witness"]
+    key = "color_sum" if "color_sum" in witness else "color_w"
+    witness[key] = str(1 - int(witness[key]))
+
+
+@pytest.mark.parametrize("catalog", ["delta3", "pi3"])
+@pytest.mark.parametrize("tamper, message", [
+    (lambda payload: payload.update(certificates=payload["certificates"]["u"]),
+     "verification failed: field certificates is not a JSON object: ["),
+    (_flip_embedded_color,
+     "verification failed: embedded witness failed: verification failed: "
+     "recomputed colors ("),
+], ids=["certificates-list", "flipped-witness-color"])
+def test_verify_malformed_construction_kill(catalog, tamper, message, tmp_path, capsys):
+    # one failure line and exit 1, never a traceback, whichever check meets
+    # the fault first
+    payload = harness.run_product_kill(harness.default_config(catalog), 0)
+    tamper(payload)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith(message)
+    assert captured.out.splitlines()[1:] == ["VERIFICATION FAILED"]
+
+
+def test_embedded_witness_check_reads_kill_certificates_as_object():
+    # the tie between a kill and its embedded witness reads the kill's
+    # certificates through the object reader, so it fails by name even
+    # when it runs before the certificate check
+    payload = json.loads(_sweep_report("product-kill"))
+    payload["certificates"] = []
+    with pytest.raises(VerificationError, match="^field certificates is not a JSON object: "):
+        harness._check_embedded_witness(payload, 0)
 
 
 def test_tree_check_guard_refuses_before_building(tmp_path, capsys):
